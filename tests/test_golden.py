@@ -1,0 +1,88 @@
+"""Golden outputs: fixed-seed selftest details and CLI results must not drift.
+
+The expected values live in ``golden.json`` beside this file.  Arithmetic
+is exact and every solver scans base points deterministically, so these
+outputs are bit-identical across refactors of the kernels; a change here
+means a behaviour change that must be justified.  Regenerate with
+``PYTHONPATH=src python tests/test_golden.py`` only for such a change.
+"""
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from rbx.cli import main
+from rbx.selftest import DEFAULT_SEED, run_all
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+SINGLE = ({"a": "1/2", "r": "2*x^2 - x + 3"}, {"a": "-3", "r": "x^3 + 5/7"})
+INDEPENDENT = (
+    [{"a": "1/3", "r": r} for r in ("1", "x + 2", "x^2 - 1/2")],
+    [{"a": "1/3", "r": r} for r in ("3*x - 1", "x^2 + x", "x^3 + 2")],
+)
+DISTINCT = (
+    [{"a": "-2", "r": r} for r in ("x + 1", "2*x + 2", "x^2")],
+    [{"a": "-2", "r": r} for r in ("1", "x", "5/2*x^2 - 1")],
+)
+
+# (name, argv with JSON payloads in place of file arguments)
+CLI_CASES = [
+    ("transit-single", ["transit", "--src", SINGLE[0], "--dst", SINGLE[1]]),
+    ("transit-independent-3",
+     ["transit", "--mode", "independent", "--src", INDEPENDENT[0], "--dst", INDEPENDENT[1]]),
+    ("transit-distinct-3",
+     ["transit", "--mode", "distinct", "--src", DISTINCT[0], "--dst", DISTINCT[1]]),
+    ("canon-linear", ["canon", {"a": "7/3", "r": "x - 5"}]),
+    ("canon-cubic", ["canon", {"a": "-11/4", "r": "3*x^3 - 1/2*x + 2"}]),
+    ("functional-check-quadratic", ["functional", "check", "r=x^2 + x + 1"]),
+]
+
+
+def selftest_details() -> dict:
+    return {str(res.number): [res.passed, res.detail] for res in run_all(DEFAULT_SEED)}
+
+
+def cli_output(argv: list, tmp_path: Path) -> list:
+    """Exit code and parsed stdout lines of ``rbx`` on ``argv``."""
+    args = []
+    for i, item in enumerate(argv):
+        if isinstance(item, str):
+            args.append(item)
+            continue
+        path = tmp_path / f"arg{i}.json"
+        path.write_text(json.dumps(item))
+        args.append(str(path))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(args)
+    return [code, [json.loads(line) for line in out.getvalue().splitlines()]]
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_selftest_details(golden):
+    assert selftest_details() == golden["selftest"]
+
+
+@pytest.mark.parametrize("name,argv", CLI_CASES, ids=[name for name, _ in CLI_CASES])
+def test_cli_output(name, argv, golden, tmp_path):
+    assert cli_output(argv, tmp_path) == golden["cli"][name]
+
+
+def _regenerate() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        cli = {name: cli_output(argv, Path(tmp)) for name, argv in CLI_CASES}
+    data = {"seed": DEFAULT_SEED, "selftest": selftest_details(), "cli": cli}
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    _regenerate()
