@@ -15,12 +15,10 @@ from .actions import (
     Translate,
     Word,
     affine_orbit_word,
-    apply_gen,
     apply_word,
     apply_word_tuple,
     fiber_value,
     inverse_word,
-    orbit_chart,
     word_from_json,
     word_to_json,
 )
@@ -60,10 +58,7 @@ from .poly import (
     DuplicateAbscissa,
     Poly,
     PolyParseError,
-    Rat,
-    ZeroPolynomial,
     as_rat,
-    format_rational,
     lagrange,
 )
 from .transitivity import (
@@ -73,6 +68,7 @@ from .transitivity import (
     DuplicateOperators,
     FiberMismatch,
     LinearlyDependent,
+    VerificationFailed,
     ZeroFiberValue,
     bridge_tuple,
     diagonalize_tuple,

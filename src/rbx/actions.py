@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .operators import AnalyticOp
-from .poly import Poly, RatLike, as_rat, format_rational
+from .poly import Poly, RatLike, as_rat
 
 
 class InvalidGenerator(ValueError):
@@ -28,11 +28,12 @@ class InvalidGenerator(ValueError):
 
 @dataclass(frozen=True)
 class Shear:
-    """Add r(b) times a polynomial vanishing at b to the multiplier."""
+    """Add r(b)**power times a polynomial vanishing at b to the multiplier."""
 
     b: Fraction
     s: Poly
     tag = "HB"
+    power = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "b", as_rat(self.b))
@@ -40,30 +41,18 @@ class Shear:
             raise InvalidGenerator(f"shear direction must vanish at {self.b}")
 
     def apply(self, op: AnalyticOp) -> AnalyticOp:
-        return AnalyticOp(op.a, op.r + self.s * op.r(self.b))
+        return AnalyticOp(op.a, op.r + self.s * op.r(self.b) ** self.power)
 
     def inverse(self) -> "Shear":
-        return Shear(self.b, -self.s)
+        return type(self)(self.b, -self.s)
 
 
 @dataclass(frozen=True)
-class ShearSquared:
+class ShearSquared(Shear):
     """Add r(b)^2 times a polynomial vanishing at b to the multiplier."""
 
-    b: Fraction
-    s: Poly
     tag = "HB2"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "b", as_rat(self.b))
-        if self.s(self.b) != 0:
-            raise InvalidGenerator(f"shear direction must vanish at {self.b}")
-
-    def apply(self, op: AnalyticOp) -> AnalyticOp:
-        return AnalyticOp(op.a, op.r + self.s * op.r(self.b) ** 2)
-
-    def inverse(self) -> "ShearSquared":
-        return ShearSquared(self.b, -self.s)
+    power = 2
 
 
 @dataclass(frozen=True)
@@ -102,12 +91,8 @@ class Dilate:
         return Dilate(1 / self.mu)
 
 
-Generator = Union[Shear, ShearSquared, Translate, Dilate]
+Generator = Union[Shear, Translate, Dilate]
 Word = tuple[Generator, ...]
-
-
-def apply_gen(gen: Generator, op: AnalyticOp) -> AnalyticOp:
-    return gen.apply(op)
 
 
 def apply_word(word: Iterable[Generator], op: AnalyticOp) -> AnalyticOp:
@@ -133,11 +118,6 @@ def inverse_word(word: Sequence[Generator]) -> Word:
 def fiber_value(op: AnalyticOp, b: RatLike) -> Fraction:
     """Value of the multiplier at b; invariant under shears based at b."""
     return op.r(b)
-
-
-def orbit_chart(op: AnalyticOp, b: RatLike) -> tuple[Fraction, Fraction]:
-    """The pair (a, r(b)); both coordinates are fixed by every shear based at b."""
-    return (op.a, op.r(b))
 
 
 def affine_orbit_word(op1: AnalyticOp, op2: AnalyticOp) -> "Word | None":
@@ -194,12 +174,12 @@ def _rational_kth_roots(q: Fraction, k: int) -> list[Fraction]:
 # -- wire format -----------------------------------------------------------
 
 def generator_to_json(gen: Generator) -> dict:
-    if isinstance(gen, (Shear, ShearSquared)):
-        return {"type": gen.tag, "b": format_rational(gen.b), "s": gen.s.to_text()}
+    if isinstance(gen, Shear):
+        return {"type": gen.tag, "b": str(gen.b), "s": gen.s.to_text()}
     if isinstance(gen, Translate):
-        return {"type": gen.tag, "nu": format_rational(gen.nu)}
+        return {"type": gen.tag, "nu": str(gen.nu)}
     if isinstance(gen, Dilate):
-        return {"type": gen.tag, "mu": format_rational(gen.mu)}
+        return {"type": gen.tag, "mu": str(gen.mu)}
     raise TypeError(f"not a generator: {gen!r}")
 
 

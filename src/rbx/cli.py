@@ -38,7 +38,7 @@ from .operators import (
     first_rb_failure,
     operator_to_point,
 )
-from .poly import Poly, PolyParseError, as_rat, format_rational
+from .poly import Poly, PolyParseError, as_rat
 from .selftest import DEFAULT_SEED, run_all
 
 _DOMAIN_ERRORS = (
@@ -71,38 +71,25 @@ def _read_json(path: str):
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _load_operator(path: str) -> "AnalyticOp | TruncOp":
-    data = _read_json(path)
+def _operator_from(data, path: str, truncation: bool = False) -> "AnalyticOp | TruncOp":
+    """Build one operator from parsed JSON; a truncation only where allowed."""
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected an operator object")
     try:
-        if "images" in data:
+        if truncation and "images" in data:
             return TruncOp.from_json(data)
         return AnalyticOp.from_json(data)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"{path}: bad operator payload: {exc}") from exc
 
 
-def _load_analytic(path: str) -> AnalyticOp:
-    data = _read_json(path)
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: expected a single operator object")
-    try:
-        return AnalyticOp.from_json(data)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"{path}: bad operator payload: {exc}") from exc
-
-
-def _load_analytic_tuple(path: str) -> list[AnalyticOp]:
-    data = _read_json(path)
+def _tuple_from(data, path: str) -> list[AnalyticOp]:
+    """Build an operator tuple from parsed JSON: one object or a non-empty array."""
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list) or not data:
         raise InputError(f"{path}: expected an operator or a non-empty operator array")
-    try:
-        return [AnalyticOp.from_json(item) for item in data]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{path}: bad operator payload: {exc}") from exc
+    return [_operator_from(item, path) for item in data]
 
 
 def _parse_rat_flag(text: str, what: str) -> Fraction:
@@ -125,7 +112,7 @@ def _keyvals(pairs: list[str]) -> dict[str, str]:
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    op = _load_operator(args.opfile)
+    op = _operator_from(_read_json(args.opfile), args.opfile, truncation=True)
     weight = _parse_rat_flag(args.weight, "weight")
     degree = args.degree
     if isinstance(op, AnalyticOp):
@@ -148,7 +135,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
-    op = _load_operator(args.opfile)
+    op = _operator_from(_read_json(args.opfile), args.opfile, truncation=True)
     if isinstance(op, AnalyticOp):
         trunc = op.truncate(op.r.degree + 1)
     else:
@@ -209,7 +196,7 @@ def _cmd_functional(args: argparse.Namespace) -> int:
             json.dumps(
                 {
                     "member_Mr": member,
-                    "a": format_rational(recovered) if recovered is not None else None,
+                    "a": str(recovered) if recovered is not None else None,
                 }
             )
         )
@@ -224,7 +211,7 @@ def _cmd_functional(args: argparse.Namespace) -> int:
                 json.dumps(
                     {
                         "member_Mr": bumped_member,
-                        "a": format_rational(bumped_a) if bumped_a is not None else None,
+                        "a": str(bumped_a) if bumped_a is not None else None,
                     }
                 )
             )
@@ -240,12 +227,10 @@ def _cmd_act(args: argparse.Namespace) -> int:
         raise InputError(f"{args.word}: bad word payload: {exc}") from exc
     data = _read_json(args.op)
     if isinstance(data, list):
-        ops = _load_analytic_tuple(args.op)
-        images = apply_word_tuple(word, ops)
+        images = apply_word_tuple(word, _tuple_from(data, args.op))
         print(json.dumps([op.to_json() for op in images]))
     else:
-        op = _load_analytic(args.op)
-        print(json.dumps(apply_word(word, op).to_json()))
+        print(json.dumps(apply_word(word, _operator_from(data, args.op)).to_json()))
     return 0
 
 
@@ -253,13 +238,13 @@ def _cmd_transit(args: argparse.Namespace) -> int:
     from .transitivity import solve_distinct_tuple, solve_single, solve_tuple_independent
 
     if args.mode == "single":
-        src = _load_analytic(args.src)
-        dst = _load_analytic(args.dst)
+        src = _operator_from(_read_json(args.src), args.src)
+        dst = _operator_from(_read_json(args.dst), args.dst)
         word = solve_single(src, dst)
         verified = apply_word(word, src) == dst
     else:
-        src_tuple = _load_analytic_tuple(args.src)
-        dst_tuple = _load_analytic_tuple(args.dst)
+        src_tuple = _tuple_from(_read_json(args.src), args.src)
+        dst_tuple = _tuple_from(_read_json(args.dst), args.dst)
         solver = solve_tuple_independent if args.mode == "independent" else solve_distinct_tuple
         word = solver(src_tuple, dst_tuple)
         verified = apply_word_tuple(word, src_tuple) == dst_tuple
@@ -272,8 +257,8 @@ def _cmd_transit(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
-    op1 = _load_analytic(args.op1)
-    op2 = _load_analytic(args.op2)
+    op1 = _operator_from(_read_json(args.op1), args.op1)
+    op2 = _operator_from(_read_json(args.op2), args.op2)
     word = affine_orbit_word(op1, op2)
     if word is None:
         print(json.dumps({"in_orbit": False, "word": None}))

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .mpoly import MPoly
 from .operators import TruncOp, TruncationTooSmall, derived_multiplier
-from .poly import Poly, RatLike, as_rat
+from .poly import Poly, RatLike, as_rat, common_root
 
 
 class IndexTooSmall(ValueError):
@@ -171,12 +171,11 @@ def satisfies_system(r: Poly, head: Sequence[RatLike], budget: int = 8) -> bool:
     coords: dict[int, Fraction] = {i: as_rat(v) for i, v in enumerate(head)}
     for t in range(k + 1, 2 * budget + k + 2):
         coords[t] = elimination_polynomial(r, t).eval_at(coords)
+    terms = [(i, ri) for i, ri in enumerate(r.coeffs) if ri]
     for n in range(budget + 1):
         for m in range(n, budget + 1):
             value = coords[n] * coords[m]
-            for i, ri in enumerate(r.coeffs):
-                if not ri:
-                    continue
+            for i, ri in terms:
                 value += (
                     (Fraction(1, i + n + 1) + Fraction(1, i + m + 1))
                     * ri
@@ -190,10 +189,10 @@ def satisfies_system(r: Poly, head: Sequence[RatLike], budget: int = 8) -> bool:
 def recover_base_point(r: Poly, head: Sequence[RatLike]) -> "Fraction | None":
     """The unique base point realising the head on the curve, or None.
 
-    Takes the rational roots of the first symbolic entry shifted by the
-    first head value and filters them against every further entry.  Callers
-    should pass deg r + 2 entries: the extra one separates root candidates
-    that the minimal head cannot.
+    The base point is the common root of every symbolic entry shifted by
+    its head value; it is read off their gcd, which must be a power of one
+    linear factor.  The first deg r + 1 entries already pin at most one
+    point, as in ``operator_to_point``.
     """
     k = r.degree
     if r.is_zero():
@@ -202,17 +201,7 @@ def recover_base_point(r: Poly, head: Sequence[RatLike]) -> "Fraction | None":
         raise ValueError(f"head must have at least {k + 1} entries, got {len(head)}")
     values = [as_rat(v) for v in head]
     entries = curve_coords_symbolic(r, len(values))
-    first = entries[0] - Poly.constant(values[0])
-    good = [
-        a
-        for a in first.rational_roots()
-        if all(entries[j](a) == values[j] for j in range(1, len(values)))
-    ]
-    if not good:
-        return None
-    if len(good) > 1:  # impossible: the head-of-coordinates projection is injective
-        raise AssertionError(f"curve point must be unique, got {good}")
-    return good[0]
+    return common_root(*(e - Poly.constant(v) for e, v in zip(entries, values)))
 
 
 def operator_from_coords(fc: FunctionalCoords, n: int) -> TruncOp:

@@ -7,9 +7,9 @@ generic linear operator cut off at the monomials ``x^0 .. x^N``, stored as
 the list of their images.
 
 ``operator_to_point`` recovers the moduli point from a truncation: the
-multiplier comes from differentiating the images, the base point is the
-unique common rational root of the low-degree images, and the result is
-re-verified by an exact round trip.
+multiplier comes from differentiating the images, the base point is read
+off the gcd of the low-degree images, and the result is re-verified by an
+exact round trip.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, RatLike, as_rat, format_rational
+from .poly import Poly, RatLike, as_rat, common_root
 
 
 class TruncationTooSmall(ValueError):
@@ -63,7 +63,7 @@ class AnalyticOp:
         return TruncOp(tuple(self.apply(Poly.monomial(i)) for i in range(n + 1)))
 
     def to_json(self) -> dict:
-        return {"a": format_rational(self.a), "r": self.r.to_text()}
+        return {"a": str(self.a), "r": self.r.to_text()}
 
     @classmethod
     def from_json(cls, data: dict) -> "AnalyticOp":
@@ -92,10 +92,10 @@ class TruncOp:
                 f"image of degree-{f.degree} argument needs truncation {f.degree}, have {self.n_max}"
             )
         acc = Poly.zero()
-        for i, c in enumerate(f.coeffs):
+        for i, c in enumerate(f.num):
             if c:
                 acc = acc + self.images[i] * c
-        return acc
+        return acc * Fraction(1, f.den)
 
     def to_json(self) -> dict:
         return {"N": self.n_max, "images": [p.to_text() for p in self.images]}
@@ -184,9 +184,12 @@ def derived_multiplier(op: TruncOp) -> Poly:
 def operator_to_point(op: TruncOp) -> AnalyticOp:
     """Canonical form: recover the moduli point (a, r) from a truncation.
 
-    The base point must be a common rational root of the images of
-    x^0 .. x^k (k the multiplier degree); at most one such point can exist.
-    The recovered operator is re-truncated and compared exactly.
+    The base point must be a common root of the images of x^0 .. x^k (k the
+    multiplier degree), so their gcd is a power of x - a.  No second point,
+    rational or complex, kills all k + 1 images: between two such points
+    the integrals of r*x^j for j <= k would all vanish, and pairing r with
+    its own conjugate along that segment then forces r = 0.  The recovered
+    operator is re-truncated and compared exactly.
     """
     r = derived_multiplier(op)
     k = r.degree
@@ -194,16 +197,10 @@ def operator_to_point(op: TruncOp) -> AnalyticOp:
         raise TruncationTooSmall(
             f"need images up to degree {k} to pin the base point, have {op.n_max}"
         )
-    good = [
-        a
-        for a in op.images[0].rational_roots()
-        if all(op.images[j](a) == 0 for j in range(1, k + 1))
-    ]
-    if not good:
+    a = common_root(*op.images[: k + 1])
+    if a is None:
         raise NoRationalBasePoint("no rational point kills every low-degree image")
-    if len(good) > 1:  # impossible: the 1/(i+j+1) vectors form a basis
-        raise AssertionError(f"base point must be unique, got {good}")
-    candidate = AnalyticOp(good[0], r)
+    candidate = AnalyticOp(a, r)
     if candidate.truncate(op.n_max) != op:
         raise Inconsistent("recovered moduli point does not reproduce the truncation")
     return candidate

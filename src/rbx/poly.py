@@ -1,10 +1,12 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-A :class:`Poly` is an immutable dense coefficient tuple over
-``fractions.Fraction``; index ``i`` holds the coefficient of ``x**i``.
-The zero polynomial is the empty tuple and its degree is the sentinel
+A :class:`Poly` is an immutable dense polynomial: integer numerators over
+one shared positive denominator, in lowest terms, with ``coeffs`` as its
+``Fraction`` view (index ``i`` holds the coefficient of ``x**i``).  The
+zero polynomial has no coefficients and its degree is the sentinel
 ``NEG_INF`` rather than any integer, so degree arithmetic can never be
-silently wrong.
+silently wrong.  ``gcd`` is a primitive remainder sequence over the
+integers and ``common_root`` reads a rational root off it.
 
 The module also owns the polynomial text grammar used by the CLI and the
 JSON payloads: a sum of terms ``[+-] coef [*] [x [^ exp]]`` with ``coef``
@@ -14,13 +16,10 @@ a rational literal ``int[/posint]``, whitespace ignored.  ``to_text`` and
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
 from typing import Iterable, Union
-
-Rat = Fraction
 
 RatLike = Union[Fraction, int, str]
 
@@ -33,10 +32,6 @@ class PolyParseError(ValueError):
 
 class DuplicateAbscissa(ValueError):
     """Interpolation nodes share an x-value."""
-
-
-class ZeroPolynomial(ValueError):
-    """The operation requires a nonzero polynomial."""
 
 
 def as_rat(value: RatLike) -> Fraction:
@@ -53,59 +48,87 @@ def as_rat(value: RatLike) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
-@dataclass(frozen=True)
 class Poly:
-    """Dense univariate polynomial with exact rational coefficients."""
+    """Dense univariate polynomial with exact rational coefficients.
 
-    coeffs: tuple[Fraction, ...] = ()
+    Stored as integer numerators ``num`` over one positive denominator
+    ``den``, in lowest terms: no trailing zero numerator, the gcd of ``den``
+    and every numerator is 1, and the zero polynomial is ``((), 1)``.  The
+    form is canonical, so equality and hashing compare ``(num, den)``; the
+    arithmetic kernels run on the integers and reduce once per result.
+    ``coeffs`` is the derived ``Fraction`` view.
+    """
 
-    def __post_init__(self) -> None:
-        cs = [as_rat(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    __slots__ = ("num", "den")
+
+    def __new__(cls, coeffs: Iterable[RatLike] = ()) -> "Poly":
+        cs = [as_rat(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        return _normal([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def __setattr__(self, *_) -> None:
+        raise AttributeError("Poly is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (_raw, (self.num, self.den))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficient tuple; index ``i`` holds the coefficient of x**i."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return _ZERO
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((Fraction(1),))
+        return _raw((1,), 1)
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((Fraction(0), Fraction(1)))
+        return _raw((0, 1), 1)
 
     @classmethod
     def constant(cls, c: RatLike) -> "Poly":
-        return cls((as_rat(c),))
+        return cls.monomial(0, c)
 
     @classmethod
     def monomial(cls, exp: int, coef: RatLike = 1) -> "Poly":
         if exp < 0:
             raise ValueError("monomial exponent must be non-negative")
-        return cls((Fraction(0),) * exp + (as_rat(coef),))
+        q = as_rat(coef)
+        return _normal([0] * exp + [q.numerator], q.denominator)
 
     # -- structure -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     @property
     def degree(self) -> "int | float":
         """Degree of the polynomial; ``NEG_INF`` for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.num) - 1 if self.num else NEG_INF
 
     def coeff(self, n: int) -> Fraction:
         """Coefficient of x**n (zero beyond the stored length)."""
-        if 0 <= n < len(self.coeffs):
-            return self.coeffs[n]
+        if 0 <= n < len(self.num):
+            return Fraction(self.num[n], self.den)
         return Fraction(0)
 
     # -- ring operations -------------------------------------------------
@@ -113,16 +136,20 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self.num, other.num, self.den
+        if den != other.den:
+            den = math.lcm(den, other.den)
+            a = [c * (den // self.den) for c in a]
+            b = [c * (den // other.den) for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return _normal(out, den)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _raw(tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -131,25 +158,21 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly.zero()
-            # Clear denominators first: integer convolution avoids a gcd
-            # normalisation per partial product.
-            n1, d1 = self._int_form()
-            n2, d2 = other._int_form()
-            out = [0] * (len(n1) + len(n2) - 1)
-            for i, ci in enumerate(n1):
+            a, b = self.num, other.num
+            if not a or not b:
+                return _ZERO
+            out = [0] * (len(a) + len(b) - 1)
+            for i, ci in enumerate(a):
                 if not ci:
                     continue
-                for j, cj in enumerate(n2):
+                for j, cj in enumerate(b):
                     out[i + j] += ci * cj
-            den = d1 * d2
-            return Poly(tuple(Fraction(c, den) for c in out))
-        if isinstance(other, (Fraction, int)):
-            q = as_rat(other)
-            if q == 0:
-                return Poly.zero()
-            return Poly(tuple(c * q for c in self.coeffs))
+            return _normal(out, self.den * other.den)
+        if isinstance(other, int):
+            return _normal([c * other for c in self.num], self.den)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return _normal([c * p for c in self.num], self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -166,74 +189,48 @@ class Poly:
             n >>= 1
         return result
 
-    def _int_form(self) -> tuple[list[int], int]:
-        den = 1
-        for c in self.coeffs:
-            den = lcm(den, c.denominator)
-        return [int(c * den) for c in self.coeffs], den
-
     # -- calculus and evaluation ------------------------------------------
 
     def derive(self) -> "Poly":
         """Formal derivative: x**n -> n*x**(n-1)."""
-        return Poly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
+        return _normal([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def integrate_at(self, a: RatLike) -> "Poly":
         """Antiderivative normalised to vanish at ``a``.
 
         ``integrate_at(0)`` is the constant-free antiderivative.
         """
-        anti = Poly((Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(self.coeffs)))
-        return anti - Poly.constant(anti(as_rat(a)))
+        scale = math.lcm(*range(1, len(self.num) + 1))
+        anti = _normal(
+            [0] + [c * (scale // (i + 1)) for i, c in enumerate(self.num)], self.den * scale
+        )
+        return anti - Poly.constant(anti(a))
 
     def __call__(self, t: RatLike) -> Fraction:
-        """Exact Horner evaluation."""
+        """Exact Horner evaluation on the numerators; one ``Fraction`` at the end."""
         t = as_rat(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        p, q = t.numerator, t.denominator
+        # acc = sum num[i] * p**i * q**(n-i), the value times den * q**n
+        acc, scale = 0, 1
+        for c in reversed(self.num):
+            acc = acc * p + c * scale
+            scale *= q
+        return Fraction(acc, self.den * scale // q) if acc else Fraction(0)
 
     def compose_affine(self, mu: RatLike, nu: RatLike) -> "Poly":
-        """Return p(mu*x + nu)."""
-        lin = Poly((as_rat(nu), as_rat(mu)))
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + Poly.constant(c)
-        return acc
-
-    # -- root finding ------------------------------------------------------
-
-    def rational_roots(self) -> list[Fraction]:
-        """All rational roots, multiplicity discarded, ascending.
-
-        Clears denominators and enumerates divisor candidates p/q with p
-        dividing the constant and q the leading integer coefficient.
-        """
-        if self.is_zero():
-            raise ZeroPolynomial("the zero polynomial has every point as a root")
-        roots: set[Fraction] = set()
-        cs = list(self.coeffs)
-        while cs[0] == 0:
-            cs.pop(0)
-            roots.add(Fraction(0))
-        if len(cs) > 1:
-            den = 1
-            for c in cs:
-                den = lcm(den, c.denominator)
-            ints = [int(c * den) for c in cs]
-            g = 0
-            for c in ints:
-                g = gcd(g, c)
-            ints = [c // g for c in ints]
-            for p in _divisors(abs(ints[0])):
-                for q in _divisors(abs(ints[-1])):
-                    cand = Fraction(p, q)
-                    if self(cand) == 0:
-                        roots.add(cand)
-                    if self(-cand) == 0:
-                        roots.add(-cand)
-        return sorted(roots)
+        """Return p(mu*x + nu), by an integer Taylor shift."""
+        mu, nu = as_rat(mu), as_rat(nu)
+        # Horner in y = mu*x + nu = (lin1*x + lin0) / step, denominators
+        # cleared: after the stage for num[i], acc is step**(n-i) times the sum
+        lin1, lin0 = mu.numerator * nu.denominator, nu.numerator * mu.denominator
+        step = mu.denominator * nu.denominator
+        acc: list[int] = []
+        scale = 1
+        for c in reversed(self.num):
+            acc = [u * lin0 + v * lin1 for u, v in zip(acc + [0], [0] + acc)]
+            acc[0] += c * scale
+            scale *= step
+        return _normal(acc, self.den * scale // step) if acc else _ZERO
 
     # -- text grammar ------------------------------------------------------
 
@@ -260,6 +257,8 @@ class Poly:
 
     @classmethod
     def from_text(cls, text: str) -> "Poly":
+        if not isinstance(text, str):
+            raise TypeError(f"polynomial text must be a string, not {type(text).__name__}")
         compact = "".join(text.split())
         if not compact:
             raise PolyParseError("empty polynomial text")
@@ -279,16 +278,85 @@ class Poly:
                 exp = 0
             coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coef
             pos = m.end()
-        out = [Fraction(0)] * (max(coeffs) + 1)
-        for exp, c in coeffs.items():
-            out[exp] = c
-        return cls(tuple(out))
+        return cls(coeffs.get(exp, 0) for exp in range(max(coeffs) + 1))
 
-    def __str__(self) -> str:
-        return self.to_text()
+    __str__ = to_text
 
     def __repr__(self) -> str:
         return f"Poly({self.to_text()!r})"
+
+
+def _raw(num: tuple, den: int) -> Poly:
+    """A Poly from numerators and denominator already in lowest terms."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "num", num)
+    object.__setattr__(p, "den", den)
+    return p
+
+
+def _normal(num: list, den: int) -> Poly:
+    """The Poly num/den (den > 0) brought to lowest terms."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return _ZERO
+    g = math.gcd(den, *num)
+    if g != 1:
+        num, den = [c // g for c in num], den // g
+    return _raw(tuple(num), den)
+
+
+_ZERO = _raw((), 1)
+
+
+def gcd(*polys: Poly) -> Poly:
+    """Monic greatest common divisor of the arguments; zero when all are zero.
+
+    Runs a primitive polynomial remainder sequence on the integer
+    numerators (Collins, J. ACM 14, 1967): every pseudo-remainder is divided
+    by its content, so coefficients stay near the size of the inputs.
+    """
+    g: list[int] = []
+    for p in polys:
+        b = _primitive(p.num)
+        if len(g) < len(b):
+            g, b = b, g
+        while b:
+            g, b = b, _primitive(_pseudo_remainder(g, b))
+        if len(g) == 1:
+            break
+    return _raw(tuple(g), 1) * Fraction(1, g[-1]) if g else _ZERO
+
+
+def common_root(*polys: Poly) -> "Fraction | None":
+    """The a with gcd(polys) = (x - a)**e for some e >= 1, or None."""
+    g = gcd(*polys)
+    e = g.degree
+    if e < 1:
+        return None
+    a = -g.coeff(e - 1) / e
+    return a if g == Poly((-a, 1)) ** e else None
+
+
+def _primitive(num) -> list[int]:
+    """Integer coefficients divided by their content."""
+    g = math.gcd(*num)
+    return [c // g for c in num] if g > 1 else list(num)
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of c*a divided by b, for some nonzero integer c; len(a) >= len(b) >= 1."""
+    r = list(a)
+    while len(r) >= len(b):
+        # scale r so its leading term is an integer multiple of b's, then cancel it
+        g = math.gcd(r[-1], b[-1])
+        up, down, shift = b[-1] // g, r[-1] // g, len(r) - len(b)
+        r = [c * up for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= down * c
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
 _TERM_RE = re.compile(
@@ -296,21 +364,6 @@ _TERM_RE = re.compile(
     r"(?:(?P<coef>\d+(?:/\d+)?)(?:\*?(?P<xa>x)(?:\^(?P<ea>\d+))?)?"
     r"|(?P<xb>x)(?:\^(?P<eb>\d+))?)"
 )
-
-
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of n >= 1 by trial division."""
-    if n < 1:
-        raise ValueError("divisor enumeration needs a positive integer")
-    small, large = [], []
-    d = 1
-    while d <= isqrt(n):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def lagrange(points: Iterable[tuple[RatLike, RatLike]]) -> Poly:
@@ -326,17 +379,9 @@ def lagrange(points: Iterable[tuple[RatLike, RatLike]]) -> Poly:
     for l, (xl, yl) in enumerate(pts):
         if yl == 0:
             continue
-        basis = Poly.one()
-        denom = Fraction(1)
+        basis = Poly.constant(yl)
         for j, (xj, _) in enumerate(pts):
-            if j == l:
-                continue
-            basis = basis * Poly((-xj, Fraction(1)))
-            denom *= xl - xj
-        total = total + basis * (yl / denom)
+            if j != l:
+                basis = basis * Poly((-xj, 1)) * (1 / (xl - xj))
+        total = total + basis
     return total
-
-
-def format_rational(q: Fraction) -> str:
-    """Text form of a rational, round-trips through ``as_rat``."""
-    return str(q)

@@ -1,7 +1,8 @@
 """Constructive word synthesis for the shear actions on analytic operators.
 
 Every solver here returns a word of generators and verifies it by exact
-application before returning; a wrong word is a bug, not a result.  The
+application before returning; a wrong word is a bug, not a result, and
+raises :class:`VerificationFailed` (also under ``python -O``).  The
 staging device is :class:`DiagonalTuple`: an operator tuple whose multipliers
 hit prescribed nonzero values on a diagonal evaluation pattern
 (r_i(b_j) = c_i when i = j, else 0), which makes per-member fiber moves
@@ -54,6 +55,15 @@ class BasePointCollision(ValueError):
 
 class DuplicateOperators(ValueError):
     """The tuple members must be pairwise distinct."""
+
+
+class VerificationFailed(ValueError):
+    """A synthesized word failed its exact check before being returned."""
+
+
+def _verify(ok: bool, what: str) -> None:
+    if not ok:
+        raise VerificationFailed(what)
 
 
 @dataclass(frozen=True)
@@ -145,9 +155,7 @@ def solve_single(op1: AnalyticOp, op2: AnalyticOp) -> Word:
     cur = gen.apply(cur)
     gen = fiber_move(cur, op2, second)
     word.append(gen)
-    cur = gen.apply(cur)
-    assert cur == op2 and len(word) <= 3
-    assert apply_word(word, op1) == op2
+    _verify(len(word) <= 3 and apply_word(word, op1) == op2, "single word misses its target")
     return tuple(word)
 
 
@@ -307,8 +315,8 @@ def solve_tuple_independent(
         within.append(gen)
         cur = [gen.apply(op) for op in cur]
     word = word_src + tuple(within) + inverse_word(word_dst)
-    assert apply_word_tuple(word, src) == list(dst)
-    assert len(word) <= 10 * m * m + 20 * m
+    _verify(apply_word_tuple(word, src) == list(dst), "independent-tuple word misses its target")
+    _verify(len(word) <= 10 * m * m + 20 * m, "independent-tuple word exceeds its length cap")
     return word
 
 
@@ -318,7 +326,7 @@ def make_independent(ops: Sequence[AnalyticOp]) -> Word:
     Recursively canonicalises the first m-1 members to the monomial
     multipliers 1, x, ..., x^(m-2); a dependent last member then lies in
     their span and a single squared shear (at 0, 1 or -1, after at most one
-    coefficient swap) breaks the dependence.  The resulting rank is asserted.
+    coefficient swap) breaks the dependence.  The resulting rank is checked.
     """
     m = len(ops)
     _shared_base(ops)
@@ -357,7 +365,7 @@ def make_independent(ops: Sequence[AnalyticOp]) -> Word:
             swapped[0], swapped[p] = swapped[p], swapped[0]
             emit(solve_tuple_independent(cur[: m - 1], swapped))
             emit([ShearSquared(0, spike)])
-    assert _is_independent(cur)
+    _verify(_is_independent(cur), "tuple is still dependent after the squared shear")
     return tuple(word)
 
 
@@ -377,5 +385,5 @@ def solve_distinct_tuple(
     word_dst = make_independent(dst)
     dst_ind = apply_word_tuple(word_dst, dst)
     word = word_src + solve_tuple_independent(src_ind, dst_ind) + inverse_word(word_dst)
-    assert apply_word_tuple(word, src) == list(dst)
+    _verify(apply_word_tuple(word, src) == list(dst), "distinct-tuple word misses its target")
     return word

@@ -1,5 +1,6 @@
 """Command-line behaviour: formats, exit codes and fixture round-trips."""
 
+import io
 import json
 from fractions import Fraction
 
@@ -209,12 +210,41 @@ class TestOrbit:
 
 class TestStdin:
     def test_dash_reads_stdin(self, tmp_path, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"a": "0", "r": "1"})))
         code, out, _ = run(capsys, ["verify", "-", "--degree", "2"])
         assert code == 0
         assert json.loads(out)["holds"] is True
+
+    def test_act_reads_operator_from_stdin(self, tmp_path, capsys, monkeypatch):
+        word = write(tmp_path, "w.json", [{"type": "GA", "nu": "1"}])
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"a": "0", "r": "x"})))
+        code, out, _ = run(capsys, ["act", "--word", word, "--op", "-"])
+        assert code == 0
+        assert json.loads(out) == {"a": "-1", "r": "x + 1"}
+
+    def test_act_reads_tuple_from_stdin(self, tmp_path, capsys, monkeypatch):
+        word = write(tmp_path, "w.json", [{"type": "GM", "mu": "2"}])
+        ops = [{"a": "1", "r": "x"}, {"a": "1", "r": "1"}]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(ops)))
+        code, out, _ = run(capsys, ["act", "--word", word, "--op", "-"])
+        assert code == 0
+        assert json.loads(out) == [{"a": "1/2", "r": "2*x"}, {"a": "1/2", "r": "1"}]
+
+
+class TestWrongJsonTypes:
+    """Payload values of the wrong JSON type are malformed input: exit 2, no traceback."""
+
+    def test_float_base_point(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"a": 1.5, "r": "x"})))
+        code, _, err = run(capsys, ["verify", "-"])
+        assert code == 2
+        assert "bad operator payload" in err
+
+    def test_numeric_multiplier(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"a": "1", "r": 5})))
+        code, _, err = run(capsys, ["verify", "-"])
+        assert code == 2
+        assert "bad operator payload" in err
 
 
 class TestSelftestCommand:

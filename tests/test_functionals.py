@@ -245,6 +245,21 @@ class TestMembership:
                 assert not satisfies_system(r, bumped, 8)
 
 
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    def test_recover_tall_base_points(self, bits):
+        rng = random.Random(bits)
+
+        def tall():
+            return Fraction(rng.getrandbits(bits) - 2 ** (bits - 1), rng.getrandbits(bits) | 1)
+
+        for k in (0, 2):
+            r, a = Poly(tuple(tall() for _ in range(k + 1))), tall()
+            head = curve_coords(r, a, k + 2).c
+            assert recover_base_point(r, head) == a
+            assert recover_base_point(r, head[: k + 1]) == a
+            assert recover_base_point(r, (head[0] + 1,) + head[1:]) is None
+
+
 class TestOperatorRoundTrip:
     def test_curve_coords_rebuild_the_operator(self):
         rng = random.Random(31)

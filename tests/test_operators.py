@@ -174,6 +174,18 @@ class TestCanonicalization:
         with pytest.raises(Inconsistent):
             operator_to_point(TruncOp(tuple(images)))
 
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    def test_round_trip_tall_heights(self, bits):
+        # base point and multiplier coefficients of ``bits`` bits
+        rng = random.Random(bits)
+
+        def tall():
+            return Fraction(rng.getrandbits(bits) - 2 ** (bits - 1), rng.getrandbits(bits) | 1)
+
+        for k in (0, 1, 3):
+            op = AnalyticOp(tall(), Poly(tuple(tall() for _ in range(k + 1))))
+            assert operator_to_point(op.truncate(k + 1)) == op
+
     def test_json_round_trip(self):
         op = AnalyticOp(Fraction(-5, 2), Poly((1, 0, Fraction(2, 3))))
         assert AnalyticOp.from_json(op.to_json()) == op

@@ -1,5 +1,8 @@
-"""Univariate polynomial arithmetic, calculus operators, roots and the text grammar."""
+"""Univariate polynomial arithmetic, calculus operators, gcd and roots, and the text grammar."""
 
+import copy
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,13 +12,104 @@ from rbx.poly import (
     DuplicateAbscissa,
     Poly,
     PolyParseError,
-    ZeroPolynomial,
+    common_root,
+    gcd,
     lagrange,
 )
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 polys = st.lists(rationals, max_size=7).map(lambda cs: Poly(tuple(cs)))
 nonzero_rationals = rationals.filter(lambda q: q != 0)
+
+
+# -- reference: plain Fraction lists, index i the coefficient of x**i ----------
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref_trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_eval(a, t):
+    return sum((c * t**i for i, c in enumerate(a)), Fraction(0))
+
+
+def ref_compose_affine(a, mu, nu):
+    out, power = [], [Fraction(1)]
+    for c in a:
+        out = ref_add(out, [c * p for p in power])
+        power = ref_mul(power, [nu, mu])
+    return out
+
+
+tall_rationals = st.builds(
+    Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**40)
+) | rationals
+ref_lists = st.lists(tall_rationals, max_size=6)
+
+
+class TestIntegerKernel:
+    """The integer-numerator kernels agree with plain Fraction arithmetic."""
+
+    @given(ref_lists, ref_lists, tall_rationals)
+    def test_ring_ops_match_reference(self, a, b, q):
+        p1, p2 = Poly(tuple(a)), Poly(tuple(b))
+        assert list((p1 + p2).coeffs) == ref_add(a, b)
+        assert list((p1 - p2).coeffs) == ref_add(a, [-c for c in b])
+        assert list((p1 * p2).coeffs) == ref_mul(a, b)
+        assert list((p1 * q).coeffs) == ref_trim(c * q for c in a)
+        assert list((q * p1).coeffs) == ref_trim(c * q for c in a)
+        assert list((p1 * 3).coeffs) == ref_trim(c * 3 for c in a)
+
+    @given(ref_lists, tall_rationals, tall_rationals)
+    def test_calculus_and_evaluation_match_reference(self, a, t, mu):
+        p = Poly(tuple(a))
+        assert p(t) == ref_eval(a, t)
+        assert p(7) == ref_eval(a, Fraction(7))
+        assert list(p.derive().coeffs) == ref_trim(i * c for i, c in enumerate(a))[1:]
+        anti = [Fraction(0)] + [c / (i + 1) for i, c in enumerate(a)]
+        anti[0] = -ref_eval(anti, t)
+        assert list(p.integrate_at(t).coeffs) == ref_trim(anti)
+        assert list(p.compose_affine(mu, t).coeffs) == ref_compose_affine(a, mu, t)
+
+    @given(ref_lists)
+    def test_lowest_terms_and_canonical_hash(self, a):
+        p = Poly(tuple(a))
+        assert p.den > 0 and math.gcd(p.den, *p.num) == 1
+        assert p.coeffs == tuple(ref_trim(a))
+        third = Poly.constant(Fraction(1, 3))
+        rebuilt = p.derive().integrate_at(0) + Poly.constant(p(0))
+        for same in ((p * 6) * Fraction(1, 6), (p + third) - third, rebuilt):
+            assert same == p and hash(same) == hash(p)
+
+    def test_equal_values_hash_equal(self):
+        assert Poly((Fraction(2, 4),)) == Poly((Fraction(1, 2),))
+        assert hash(Poly((Fraction(2, 4),))) == hash(Poly((Fraction(1, 2),)))
+        assert Poly((Fraction(1, 2), 1)) * 2 == Poly((1, 2))
+        assert hash(Poly((Fraction(1, 2), 1)) * 2) == hash(Poly((1, 2)))
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            Poly.one().num = (2,)
+
+    def test_pickle_and_copy(self):
+        p = Poly((Fraction(-1, 6), 0, Fraction(4, 9)))
+        assert pickle.loads(pickle.dumps(p)) == p
+        assert copy.deepcopy(p) == p
 
 
 class TestRingOps:
@@ -144,26 +238,93 @@ class TestLagrange:
             assert p(x) == y
 
 
+def linear(a) -> Poly:
+    """x - a."""
+    return Poly((-Fraction(a), 1))
+
+
+class TestGcd:
+    def test_coprime(self):
+        assert gcd(Poly((1, 0, 1)), Poly((-1, 1))) == Poly.one()
+
+    def test_common_linear_factor(self):
+        f = linear(Fraction(2, 3)) * Poly((1, 0, 1))
+        g = linear(Fraction(2, 3)) * Poly((-5, 1)) * 6
+        assert gcd(f, g) == linear(Fraction(2, 3))
+
+    def test_repeated_root(self):
+        f = linear(-3) ** 3 * Poly((1, 1))
+        g = linear(-3) ** 2 * Poly((1, 0, 1))
+        assert gcd(f, g) == linear(-3) ** 2
+
+    def test_zero_input(self):
+        p = Poly((-2, 0, Fraction(1, 2)))
+        assert gcd(Poly.zero(), p) == Poly((-4, 0, 1))
+        assert gcd(p, Poly.zero()) == Poly((-4, 0, 1))
+        assert gcd(Poly.zero(), Poly.zero()) == Poly.zero()
+        assert gcd() == Poly.zero()
+
+    def test_many_arguments(self):
+        base = linear(Fraction(-1, 7))
+        assert gcd(base * Poly.x(), base * linear(1), base ** 2) == base
+
+    @given(polys, polys, polys)
+    def test_divides_and_is_greatest(self, f, g, h):
+        d = gcd(f * h, g * h)
+        if f.is_zero() and g.is_zero() or h.is_zero():
+            assert d == Poly.zero()
+            return
+        assert d.coeff(d.degree) == 1
+        # h divides both inputs, so it divides the gcd: the gcd keeps every root of h
+        assert d.degree >= h.degree
+        for p in (f * h, g * h):
+            assert _remainder(p, d) == Poly.zero()
+
+
+def _remainder(p: Poly, d: Poly) -> Poly:
+    """p mod monic d, by schoolbook division on the Fraction coefficients."""
+    while not p.is_zero() and p.degree >= d.degree:
+        p = p - d * Poly.monomial(p.degree - d.degree, p.coeff(p.degree))
+    return p
+
+
 class TestRationalRoots:
+    """``common_root`` reads the one rational root off a gcd, or returns None."""
+
     def test_plus_minus_one(self):
-        assert Poly((-1, 0, 1)).rational_roots() == [-1, 1]
+        assert common_root(Poly((-1, 0, 1))) is None
+        assert common_root(Poly((-1, 0, 1)), Poly((-1, 1))) == 1
+        assert common_root(Poly((-1, 0, 1)), Poly((1, 1))) == -1
 
     def test_no_real_roots(self):
-        assert Poly((1, 0, 1)).rational_roots() == []
+        assert common_root(Poly((1, 0, 1))) is None
+        assert common_root(Poly((1, 0, 1)), Poly((1, 0, 1)) * linear(2)) is None
 
     def test_cleared_denominators(self):
-        assert Poly((-2, 0, Fraction(1, 2))).rational_roots() == [-2, 2]
+        assert common_root(Poly((-2, 0, Fraction(1, 2))), linear(2)) == 2
 
     def test_zero_polynomial_rejected(self):
-        with pytest.raises(ZeroPolynomial):
-            Poly.zero().rational_roots()
+        assert common_root(Poly.zero()) is None
+        assert common_root(Poly.zero(), linear(-5)) == -5
 
     def test_root_at_zero_with_multiplicity(self):
-        assert Poly((0, 0, 3)).rational_roots() == [0]
+        assert common_root(Poly((0, 0, 3))) == 0
 
     def test_fractional_roots(self):
         # (2x - 1)(3x + 2) = 6x^2 + x - 2
-        assert Poly((-2, 1, 6)).rational_roots() == [Fraction(-2, 3), Fraction(1, 2)]
+        assert common_root(Poly((-2, 1, 6))) is None
+        assert common_root(Poly((-2, 1, 6)), Poly((-1, 2))) == Fraction(1, 2)
+
+    def test_constant_has_no_root(self):
+        assert common_root(Poly.constant(4)) is None
+
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    def test_tall_root_with_tall_cofactor(self, bits):
+        a = Fraction(3**bits // 2**(bits // 2) + 1, 2**bits + 1)
+        lead = 2**bits - 1
+        cofactor = Poly((lead, 1, 0, lead))
+        assert common_root(linear(a) ** 2 * cofactor, linear(a) * cofactor.derive()) == a
+        assert common_root(linear(a) ** 3 * Poly.constant(lead)) == a
 
 
 class TestTextGrammar:

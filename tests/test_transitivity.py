@@ -1,7 +1,11 @@
 """Word synthesis: fiber moves, diagonalization, bridging and the full solvers."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +105,31 @@ class TestSolveSingle:
             word = solve_single(op1, op2)
             assert apply_word(word, op1) == op2
             assert len(word) <= 3
+
+
+    def test_wrong_word_raises_under_optimize(self):
+        # the final checks are not asserts: python -O must still reject a bad word
+        import rbx
+
+        script = "\n".join([
+            "import sys",
+            "from rbx import transitivity",
+            "from rbx.actions import Shear",
+            "from rbx.operators import AnalyticOp",
+            "from rbx.poly import Poly",
+            "transitivity.fiber_move = lambda src, dst, b: Shear(b, Poly((-b, 1)))",
+            "try:",
+            "    transitivity.solve_single(AnalyticOp(0, Poly.x()), AnalyticOp(1, Poly((2, 0, 1))))",
+            "except transitivity.VerificationFailed as exc:",
+            "    print('optimize', sys.flags.optimize, 'raised', exc)",
+        ])
+        src = str(Path(rbx.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("optimize 1 raised")
 
 
 class TestSelectBasepoints:
