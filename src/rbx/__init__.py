@@ -82,4 +82,22 @@ from .transitivity import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Dilate", "InvalidGenerator", "Shear", "ShearSquared", "Translate", "Word",
+    "affine_orbit_word", "apply_word", "apply_word_tuple", "fiber_value",
+    "inverse_word", "word_from_json", "word_to_json",
+    "FunctionalCoords", "IndexTooSmall", "coordinate_equation", "coords_from_operator",
+    "curve_coords", "curve_coords_symbolic", "elimination_polynomial",
+    "functional_residual", "operator_from_coords", "recover_base_point",
+    "reduced_equation", "satisfies_system", "vanishes_on_curve",
+    "DegreeCapExceeded", "MPoly", "UnassignedVariable", "degree_cap", "set_degree_cap",
+    "AnalyticOp", "Inconsistent", "NoRationalBasePoint", "NotMultiplierType", "TruncOp",
+    "TruncationTooSmall", "ZeroMultiplier", "derived_multiplier", "first_rb_failure",
+    "is_rb_upto", "odd_halving_example", "operator_to_point", "rb_residual",
+    "NEG_INF", "DuplicateAbscissa", "Poly", "PolyParseError", "as_rat", "lagrange",
+    "BasePointCollision", "BasePointMismatch", "DiagonalTuple", "DuplicateOperators",
+    "FiberMismatch", "LinearlyDependent", "VerificationFailed", "ZeroFiberValue",
+    "bridge_tuple", "diagonalize_tuple", "fiber_move", "make_independent",
+    "select_basepoints", "solve_distinct_tuple", "solve_single",
+    "solve_tuple_independent",
+]

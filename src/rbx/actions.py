@@ -41,7 +41,10 @@ class Shear:
             raise InvalidGenerator(f"shear direction must vanish at {self.b}")
 
     def apply(self, op: AnalyticOp) -> AnalyticOp:
-        return AnalyticOp(op.a, op.r + self.s * op.r(self.b) ** self.power)
+        c = op.r(self.b)
+        if not c:
+            return op
+        return AnalyticOp(op.a, op.r + self.s * c**self.power)
 
     def inverse(self) -> "Shear":
         return type(self)(self.b, -self.s)

@@ -1,7 +1,8 @@
-"""Exact Gaussian elimination over the rationals: rank and determinant."""
+"""Exact rank and determinant over the rationals by one fraction-free elimination."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -15,52 +16,51 @@ def _copy(rows: Sequence[Sequence[RatLike]]) -> list[list[Fraction]]:
     return out
 
 
-def rank(rows: Sequence[Sequence[RatLike]]) -> int:
-    """Exact rank by fraction-free-of-error Gaussian elimination."""
-    mat = _copy(rows)
-    if not mat or not mat[0]:
-        return 0
-    nrows, ncols = len(mat), len(mat[0])
-    r = 0
+def _eliminate(mat: list[list[Fraction]]) -> tuple[int, Fraction]:
+    """Rank, and determinant when square, by Bareiss elimination (Math. Comp. 22, 1968).
+
+    Each row is first scaled to integers by the lcm of its denominators.
+    Every entry after the elimination step at pivot ``prev`` is a minor of
+    the scaled matrix, so the division by the previous pivot is exact and
+    the last pivot is the determinant up to the row scales and the sign of
+    the row swaps.
+    """
+    ints, scale = [], 1
+    for row in mat:
+        den = math.lcm(*(c.denominator for c in row))
+        ints.append([c.numerator * (den // c.denominator) for c in row])
+        scale *= den
+    nrows, ncols = len(ints), len(ints[0]) if ints else 0
+    r, sign, prev = 0, 1, 1
     for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][col]
-        for i in range(r + 1, nrows):
-            if mat[i][col] == 0:
-                continue
-            factor = mat[i][col] * inv
-            for j in range(col, ncols):
-                mat[i][j] -= factor * mat[r][j]
-        r += 1
         if r == nrows:
             break
-    return r
+        pivot = next((i for i in range(r, nrows) if ints[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            ints[r], ints[pivot] = ints[pivot], ints[r]
+            sign = -sign
+        top, lead = ints[r], ints[r][col]
+        for i in range(r + 1, nrows):
+            row, c = ints[i], ints[i][col]
+            for j in range(col + 1, ncols):
+                row[j] = (lead * row[j] - c * top[j]) // prev
+            row[col] = 0
+        prev = lead
+        r += 1
+    square_full = r == nrows == ncols
+    return r, Fraction(sign * prev, scale) if square_full else Fraction(0)
+
+
+def rank(rows: Sequence[Sequence[RatLike]]) -> int:
+    """Exact rank."""
+    return _eliminate(_copy(rows))[0]
 
 
 def det(rows: Sequence[Sequence[RatLike]]) -> Fraction:
     """Exact determinant of a square matrix."""
     mat = _copy(rows)
-    n = len(mat)
-    if any(len(row) != n for row in mat):
+    if any(len(row) != len(mat) for row in mat):
         raise ValueError("determinant needs a square matrix")
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            sign = -sign
-        result *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for i in range(col + 1, n):
-            if mat[i][col] == 0:
-                continue
-            factor = mat[i][col] * inv
-            for j in range(col, n):
-                mat[i][j] -= factor * mat[col][j]
-    return result * sign
+    return _eliminate(mat)[1]

@@ -369,19 +369,41 @@ _TERM_RE = re.compile(
 def lagrange(points: Iterable[tuple[RatLike, RatLike]]) -> Poly:
     """Unique polynomial of degree < len(points) through the given points.
 
+    O(n**2) integer work: with the nodes over one denominator d, so that
+    x_j = p_j / d, the basis polynomial of node l is N_l(X) / w_l in
+    X = d*x, where N_l is the node polynomial prod_j (X - p_j) divided
+    exactly by X - p_l and w_l = prod_{j != l} (p_l - p_j).  The terms are
+    summed over one common denominator and reduced once.
+
     Raises :class:`DuplicateAbscissa` when two nodes share an x-value.
     """
     pts = [(as_rat(x), as_rat(y)) for x, y in points]
     xs = [x for x, _ in pts]
     if len(set(xs)) != len(xs):
         raise DuplicateAbscissa("interpolation nodes must have distinct x-values")
-    total = Poly.zero()
-    for l, (xl, yl) in enumerate(pts):
-        if yl == 0:
-            continue
-        basis = Poly.constant(yl)
-        for j, (xj, _) in enumerate(pts):
-            if j != l:
-                basis = basis * Poly((-xj, 1)) * (1 / (xl - xj))
-        total = total + basis
-    return total
+    d = math.lcm(*(x.denominator for x in xs))
+    ps = [x.numerator * (d // x.denominator) for x in xs]
+    node = [1]  # prod (X - p_j), low degree first
+    for p in ps:
+        node = [u - p * v for u, v in zip([0] + node, node + [0])]
+    # y_l / w_l for every nonzero value, then one common denominator
+    weights = [
+        (pl, yl / math.prod(pl - pj for pj in ps if pj != pl))
+        for pl, (_, yl) in zip(ps, pts)
+        if yl
+    ]
+    den = math.lcm(*(q.denominator for _, q in weights))
+    out = [0] * len(ps)
+    for pl, q in weights:
+        scale = q.numerator * (den // q.denominator)
+        # synthetic division of the node polynomial by X - p_l, top down
+        c = 0
+        for i in range(len(ps), 0, -1):
+            c = node[i] + pl * c
+            out[i - 1] += scale * c
+    # substitute X = d*x
+    power = 1
+    for i in range(1, len(out)):
+        power *= d
+        out[i] *= power
+    return _normal(out, den)

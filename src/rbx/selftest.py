@@ -110,18 +110,24 @@ def _distinct_tuple(
 
 # -- criteria ----------------------------------------------------------------
 
+def _require(cond: bool, msg: str = "") -> None:
+    """Fail the running criterion unless ``cond``; unlike ``assert``, kept under ``python -O``."""
+    if not cond:
+        raise AssertionError(msg)
+
+
 def criterion_rb_identity(rng: random.Random) -> str:
     halves = [Fraction(i, 2) for i in range(-6, 7)]
     for _ in range(20):
         op = AnalyticOp(rng.choice(halves), _poly(rng, 5))
         trunc = op.truncate(2 * 10 + op.r.degree + 1)
-        assert is_rb_upto(trunc, 0, 10), f"identity failed for {op}"
+        _require(is_rb_upto(trunc, 0, 10), f"identity failed for {op}")
     return "20 random analytic operators satisfy the weight-0 identity up to degree 10"
 
 
 def criterion_odd_halving(rng: random.Random) -> str:
     trunc = odd_halving_example(26)
-    assert is_rb_upto(trunc, 0, 12)
+    _require(is_rb_upto(trunc, 0, 12))
     try:
         derived_multiplier(trunc)
     except NotMultiplierType:
@@ -140,19 +146,22 @@ def criterion_functional_correspondence(rng: random.Random) -> str:
         fc = curve_coords(r, a, length)
         trunc = operator_from_coords(fc, length - 1)
         back = coords_from_operator(trunc)
-        assert back.r == r and back.c == fc.c
+        _require(back.r == r and back.c == fc.c)
         for n in range(7):
             for m in range(n, 7 - n):
-                assert functional_residual(fc, Poly.monomial(n), Poly.monomial(m)) == 0
+                _require(functional_residual(fc, Poly.monomial(n), Poly.monomial(m)) == 0)
         for j in range(length):
             bumped = FunctionalCoords(
                 r, fc.c[:j] + (fc.c[j] + 1,) + fc.c[j + 1 :]
             )
-            assert any(
-                functional_residual(bumped, Poly.monomial(n), Poly.monomial(m)) != 0
-                for n in range(4)
-                for m in range(4)
-            ), f"perturbing coordinate {j} went undetected for r={r}, a={a}"
+            _require(
+                any(
+                    functional_residual(bumped, Poly.monomial(n), Poly.monomial(m)) != 0
+                    for n in range(4)
+                    for m in range(4)
+                ),
+                f"perturbing coordinate {j} went undetected for r={r}, a={a}",
+            )
     return "coordinate/operator round trip exact; every single-coordinate bump detected"
 
 
@@ -165,13 +174,13 @@ def criterion_elimination(rng: random.Random) -> str:
             coords = curve_coords(r, a, 9).c
             assign = dict(enumerate(coords))
             for t in range(k + 1, 9):
-                assert elimination_polynomial(r, t).eval_at(assign) == coords[t]
+                _require(elimination_polynomial(r, t).eval_at(assign) == coords[t])
         for n in range(5):
             for m in range(5):
-                assert vanishes_on_curve(r, n, m), f"reduced ({n},{m}) not killed for r={r}"
+                _require(vanishes_on_curve(r, n, m), f"reduced ({n},{m}) not killed for r={r}")
     for n in range(7):
         for m in range(7):
-            assert reduced_equation(Poly.one(), n, m).is_zero()
+            _require(reduced_equation(Poly.one(), n, m).is_zero())
     return "coordinate elimination consistent on curve points; degree-0 context reduces to 0"
 
 
@@ -183,18 +192,19 @@ def criterion_membership(rng: random.Random) -> str:
         samples += [_rational(rng) for _ in range(5)]
         for a in samples:
             head = curve_coords(r, a, k + 1).c
-            assert satisfies_system(r, head, 8), f"curve head rejected for r={r}, a={a}"
-            assert recover_base_point(r, curve_coords(r, a, k + 2).c) == a
+            _require(satisfies_system(r, head, 8), f"curve head rejected for r={r}, a={a}")
+            _require(recover_base_point(r, curve_coords(r, a, k + 2).c) == a)
             for j in range(k + 1):
                 bumped = head[:j] + (head[j] + 1,) + head[j + 1 :]
                 if k == 0:
                     # A degree-0 context has a one-coordinate head and every
                     # head extends to a solution, so bumps stay members.
-                    assert satisfies_system(r, bumped, 8)
-                    assert recover_base_point(r, (bumped[0],)) == -bumped[0]
+                    _require(satisfies_system(r, bumped, 8))
+                    _require(recover_base_point(r, (bumped[0],)) == -bumped[0])
                 else:
-                    assert not satisfies_system(r, bumped, 8), (
-                        f"off-curve bump accepted for r={r}, a={a}, coordinate {j}"
+                    _require(
+                        not satisfies_system(r, bumped, 8),
+                        f"off-curve bump accepted for r={r}, a={a}, coordinate {j}",
                     )
     return "curve heads accepted with exact base-point recovery; off-curve bumps rejected"
 
@@ -206,24 +216,24 @@ def criterion_group_laws(rng: random.Random) -> str:
         s1 = _vanishing_poly(rng, b)
         s2 = _vanishing_poly(rng, b)
         # composition law at one base point
-        assert Shear(b, s2).apply(Shear(b, s1).apply(op)) == Shear(b, s1 + s2).apply(op)
+        _require(Shear(b, s2).apply(Shear(b, s1).apply(op)) == Shear(b, s1 + s2).apply(op))
         # one-parameter subgroups at one base point commute
         j, l = rng.sample(range(1, 5), 2)
         g1 = Shear(b, (Poly.monomial(j) - Poly.constant(b**j)) * _rational(rng, 3, 2))
         g2 = Shear(b, (Poly.monomial(l) - Poly.constant(b**l)) * _rational(rng, 3, 2))
-        assert g1.apply(g2.apply(op)) == g2.apply(g1.apply(op))
+        _require(g1.apply(g2.apply(op)) == g2.apply(g1.apply(op)))
         # inverses
-        assert apply_word((Shear(b, s1), Shear(b, s1).inverse()), op) == op
-        assert apply_word((ShearSquared(b, s1), ShearSquared(b, s1).inverse()), op) == op
+        _require(apply_word((Shear(b, s1), Shear(b, s1).inverse()), op) == op)
+        _require(apply_word((ShearSquared(b, s1), ShearSquared(b, s1).inverse()), op) == op)
         nu = _rational(rng)
         mu = Fraction(0)
         while mu == 0:
             mu = _rational(rng, 4, 3)
-        assert apply_word((Translate(nu), Translate(nu).inverse()), op) == op
-        assert apply_word((Dilate(mu), Dilate(mu).inverse()), op) == op
+        _require(apply_word((Translate(nu), Translate(nu).inverse()), op) == op)
+        _require(apply_word((Dilate(mu), Dilate(mu).inverse()), op) == op)
         # the evaluation at the shear's own base point is invariant
-        assert fiber_value(Shear(b, s1).apply(op), b) == fiber_value(op, b)
-        assert fiber_value(ShearSquared(b, s1).apply(op), b) == fiber_value(op, b)
+        _require(fiber_value(Shear(b, s1).apply(op), b) == fiber_value(op, b))
+        _require(fiber_value(ShearSquared(b, s1).apply(op), b) == fiber_value(op, b))
         # shears act linearly on multipliers: vanishing combinations stay vanishing
         lam1, lam2 = _rational(rng, 3, 2), _rational(rng, 3, 2)
         lam3 = Fraction(0)
@@ -239,7 +249,7 @@ def criterion_group_laws(rng: random.Random) -> str:
         )
         moved = apply_word_tuple(shear_word, trio)
         combo = moved[0].r * lam1 + moved[1].r * lam2 + moved[2].r * lam3
-        assert combo.is_zero()
+        _require(combo.is_zero())
     return "shear composition, commutation, inverses, fiber invariance and linearity exact"
 
 
@@ -248,7 +258,7 @@ def criterion_evaluation_basis(rng: random.Random) -> str:
         matrix = [
             [Fraction(1, i + j + 1) for i in range(k + 1)] for j in range(k + 1)
         ]
-        assert linalg.det(matrix) != 0
+        _require(linalg.det(matrix) != 0)
     return "reciprocal-sum evaluation matrices are nonsingular for sizes 1..11"
 
 
@@ -258,8 +268,8 @@ def criterion_single_transitivity(rng: random.Random) -> str:
         op1 = _operator(rng, 6)
         op2 = _operator(rng, 6)
         word = solve_single(op1, op2)
-        assert apply_word(word, op1) == op2
-        assert len(word) <= 3
+        _require(apply_word(word, op1) == op2)
+        _require(len(word) <= 3)
         lengths.append(len(word))
     return f"50 single-operator words verified, max length {max(lengths)}"
 
@@ -272,8 +282,8 @@ def criterion_independent_tuples(rng: random.Random) -> str:
             src = _independent_tuple(rng, m, a)
             dst = _independent_tuple(rng, m, a)
             word = solve_tuple_independent(src, dst)
-            assert apply_word_tuple(word, src) == dst
-            assert len(word) <= 10 * m * m + 20 * m
+            _require(apply_word_tuple(word, src) == dst)
+            _require(len(word) <= 10 * m * m + 20 * m)
             total += 1
     return f"{total} independent-tuple words verified within the length cap"
 
@@ -286,7 +296,7 @@ def criterion_distinct_tuples(rng: random.Random) -> str:
             src = _distinct_tuple(rng, m, a, force_dependent=(i % 2 == 0))
             dst = _distinct_tuple(rng, m, a, force_dependent=(i % 3 == 0))
             word = solve_distinct_tuple(src, dst)
-            assert apply_word_tuple(word, src) == dst
+            _require(apply_word_tuple(word, src) == dst)
             total += 1
     return f"{total} distinct-tuple words verified, dependent inputs included"
 
@@ -300,18 +310,14 @@ def criterion_affine_orbits(rng: random.Random) -> str:
             mu = _rational(rng, 4, 3)
         image = apply_word((Translate(nu), Dilate(mu)), op)
         word = affine_orbit_word(op, image)
-        assert word is not None and apply_word(word, op) == image
-    assert affine_orbit_word(AnalyticOp(0, Poly.x()), AnalyticOp(0, Poly.monomial(2))) is None
-    assert (
-        affine_orbit_word(
-            AnalyticOp(0, Poly.monomial(2)), AnalyticOp(0, Poly.monomial(2, 2))
-        )
+        _require(word is not None and apply_word(word, op) == image)
+    _require(affine_orbit_word(AnalyticOp(0, Poly.x()), AnalyticOp(0, Poly.monomial(2))) is None)
+    _require(
+        affine_orbit_word(AnalyticOp(0, Poly.monomial(2)), AnalyticOp(0, Poly.monomial(2, 2)))
         is None
     )
-    assert (
-        affine_orbit_word(
-            AnalyticOp(1, Poly.monomial(2)), AnalyticOp(-1, Poly.monomial(2, 3))
-        )
+    _require(
+        affine_orbit_word(AnalyticOp(1, Poly.monomial(2)), AnalyticOp(-1, Poly.monomial(2, 3)))
         is None
     )
     return "20 conjugation witnesses verified; mismatched degrees and leads rejected"

@@ -6,7 +6,11 @@ command itself.  One pass/fail line is printed per criterion.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,26 @@ def test_criterion(number, name):
     assert result.seconds < BUDGETS_SECONDS[number], (
         f"criterion {number} took {result.seconds:.2f}s, budget {BUDGETS_SECONDS[number]}s"
     )
+
+
+def test_broken_criterion_fails_under_optimize():
+    # the criteria check with _require, not assert: python -O must still report a failure
+    import rbx
+
+    script = "\n".join([
+        "import sys",
+        "from rbx import selftest",
+        "selftest.is_rb_upto = lambda *args: False",
+        "result = selftest.run_criterion(1)",
+        "print('optimize', sys.flags.optimize, 'passed', result.passed, result.detail)",
+    ])
+    src = str(Path(rbx.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("optimize 1 passed False identity failed for")
 
 
 def test_criterion_12_cli_round_trips_and_selftest(tmp_path, capsys):

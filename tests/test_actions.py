@@ -54,6 +54,21 @@ class TestGenerators:
         op = AnalyticOp(0, Poly.x())
         assert Shear(0, Poly((0, 0, 1))).apply(op) == op
 
+    @pytest.mark.parametrize("kind", [Shear, ShearSquared])
+    def test_zero_fiber_value_returns_op(self, kind):
+        # op.r has a root at each shear's base point, so r(b)**power * s is zero
+        rng = random.Random(29)
+        for _ in range(20):
+            b = random_rat(rng)
+            op = AnalyticOp(random_rat(rng), random_vanishing(rng, b))
+            gen = kind(b, random_vanishing(rng, b))
+            assert gen.apply(op) == op
+            assert apply_word((gen, gen.inverse()), op) == op
+            # a tuple mixing a zero and a nonzero fiber value still round-trips
+            other = AnalyticOp(op.a, op.r + Poly.one())
+            assert apply_word_tuple((gen, gen.inverse()), [op, other]) == [op, other]
+            assert gen.apply(other) != other
+
     def test_translate_formula(self):
         assert Translate(2).apply(AnalyticOp(2, Poly.x())) == AnalyticOp(0, Poly((2, 1)))
 

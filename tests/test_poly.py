@@ -208,7 +208,50 @@ class TestAffineSubstitution:
         assert p.compose_affine(mu, nu).compose_affine(1 / mu, -nu / mu) == p
 
 
+def ref_lagrange(points):
+    """O(n**3) reference: sum of y_l * prod_{j != l} (x - x_j) / (x_l - x_j)."""
+    out = []
+    for l, (xl, yl) in enumerate(points):
+        basis = [Fraction(yl)]
+        for j, (xj, _) in enumerate(points):
+            if j != l:
+                basis = ref_mul(basis, [-xj / (xl - xj), 1 / (xl - xj)])
+        out = ref_add(out, basis)
+    return out
+
+
+distinct_nodes = st.lists(
+    st.tuples(tall_rationals, tall_rationals), max_size=8, unique_by=lambda p: p[0]
+)
+
+
 class TestLagrange:
+    @given(distinct_nodes)
+    def test_matches_reference(self, points):
+        assert list(lagrange(points).coeffs) == ref_lagrange(points)
+
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=6, unique=True), st.data())
+    def test_nodes_over_different_denominators(self, dens, data):
+        nums = data.draw(st.lists(st.integers(-20, 20), min_size=len(dens), max_size=len(dens)))
+        points = [(Fraction(p, q), data.draw(rationals)) for p, q in zip(nums, dens)]
+        if len({x for x, _ in points}) != len(points):
+            return
+        assert list(lagrange(points).coeffs) == ref_lagrange(points)
+
+    @given(st.lists(tall_rationals, max_size=8, unique=True))
+    def test_all_zero_values(self, xs):
+        assert lagrange([(x, 0) for x in xs]).is_zero()
+
+    @given(tall_rationals, tall_rationals)
+    def test_one_node_is_constant(self, x, y):
+        assert lagrange([(x, y)]) == Poly.constant(y)
+
+    @given(distinct_nodes.filter(bool), st.data())
+    def test_any_repeated_node_raises(self, points, data):
+        x, _ = data.draw(st.sampled_from(points))
+        with pytest.raises(DuplicateAbscissa):
+            lagrange(points + [(x, data.draw(tall_rationals))])
+
     def test_square_through_three_points(self):
         assert lagrange([(0, 0), (1, 1), (2, 4)]) == Poly.monomial(2)
 
