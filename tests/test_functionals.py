@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbx.functionals import (
     FunctionalCoords,
@@ -40,6 +41,43 @@ def random_poly(rng, max_deg, span=4):
 
 def random_rat(rng, span=4):
     return Fraction(rng.randint(-span, span), rng.randint(1, 3))
+
+
+small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def multipliers(draw, max_deg=3):
+    """A nonzero multiplier of degree at most ``max_deg``."""
+    low = draw(st.lists(small_rats, max_size=max_deg))
+    lead = draw(small_rats.filter(bool))
+    return Poly(tuple(low) + (lead,))
+
+
+def extend(r, head, length):
+    """Coordinates c_0 .. c_(length-1): the head, then each elimination polynomial evaluated."""
+    coords = {i: Fraction(v) for i, v in enumerate(head)}
+    for t in range(r.degree + 1, length):
+        coords[t] = elimination_polynomial(r, t).eval_at(coords)
+    return coords
+
+
+def ref_satisfies_system(r, head, budget):
+    """Membership by the symbolic elimination polynomials and the pair loop written out."""
+    coords = extend(r, head, 2 * budget + r.degree + 2)
+    terms = [(i, ri) for i, ri in enumerate(r.coeffs) if ri]
+    for n in range(budget + 1):
+        for m in range(n, budget + 1):
+            value = coords[n] * coords[m]
+            for i, ri in terms:
+                value += (
+                    (Fraction(1, i + n + 1) + Fraction(1, i + m + 1))
+                    * ri
+                    * coords[i + n + m + 1]
+                )
+            if value:
+                return False
+    return True
 
 
 class TestCoordsFromOperator:
@@ -131,6 +169,12 @@ class TestCoordinateEquation:
             {((0, 1), (1, 1)): 1, ((2, 1),): Fraction(3, 2)}
         )
 
+    def test_huge_indices_touch_few_variables(self):
+        n = 10**8
+        assert coordinate_equation(X, n, 0) == MPoly(
+            {((0, 1), (n, 1)): 1, ((n + 2, 1),): Fraction(1, n + 2) + Fraction(1, 2)}
+        )
+
     def test_symmetry(self):
         rng = random.Random(2)
         for _ in range(10):
@@ -161,6 +205,12 @@ class TestElimination:
     def test_index_guard(self):
         with pytest.raises(IndexTooSmall):
             elimination_polynomial(X, 1)
+
+    def test_huge_index_touches_few_variables(self):
+        t = 10**8
+        assert elimination_polynomial(X, t) == MPoly(
+            {((0, 1), (t - 2, 1)): Fraction(-2 * t, t + 2)}
+        )
 
     def test_consistency_on_curve(self):
         for r in (ONE, X, ONE_PLUS_X):
@@ -195,6 +245,15 @@ class TestReducedEquation:
                 for m in range(3):
                     high = {v for v in reduced_equation(r, n, m).variables() if v > r.degree}
                     assert not high
+
+    @settings(deadline=None, max_examples=60)
+    @given(multipliers(max_deg=2), st.lists(small_rats, min_size=3, max_size=3),
+           st.integers(0, 3), st.integers(0, 3))
+    def test_reduction_agrees_with_numeric_extension(self, r, values, n, m):
+        head = values[: r.degree + 1]
+        coords = extend(r, head, n + m + r.degree + 2)
+        reduced = reduced_equation(r, n, m).eval_at(dict(enumerate(head)))
+        assert reduced == coordinate_equation(r, n, m).eval_at(coords)
 
     def test_vanishing_on_curve(self):
         for r in (X, Poly((1, 0, 1))):
@@ -244,6 +303,15 @@ class TestMembership:
                 bumped = (head[0] + 1,) + head[1:]
                 assert not satisfies_system(r, bumped, 8)
 
+
+    @settings(deadline=None)
+    @given(multipliers(), small_rats, st.integers(0, 5), st.integers(0, 3), small_rats)
+    def test_matches_reference_loop(self, r, a, budget, j, bump):
+        head = curve_coords(r, a, r.degree + 1).c
+        assert satisfies_system(r, head, budget) is ref_satisfies_system(r, head, budget) is True
+        j = min(j, r.degree)
+        bumped = head[:j] + (head[j] + bump,) + head[j + 1 :]
+        assert satisfies_system(r, bumped, budget) is ref_satisfies_system(r, bumped, budget)
 
     @pytest.mark.parametrize("bits", [64, 256, 1024])
     def test_recover_tall_base_points(self, bits):

@@ -42,9 +42,28 @@ CLI_CASES = [
     ("functional-check-quadratic", ["functional", "check", "r=x^2 + x + 1"]),
 ]
 
+# (name, argv) of commands whose stdout is plain text, pinned verbatim
+TEXT_CASES = [
+    ("functional-system-quadratic", ["functional", "system", "r=x^2 + x + 1", "n=2", "m=3"]),
+    ("functional-system-cubic", ["functional", "system", "r=3*x^3 - 1/2*x + 2", "n=4", "m=4"]),
+    ("functional-eliminate-quadratic", ["functional", "eliminate", "r=x^2 + x + 1", "t=6"]),
+    ("functional-eliminate-cubic", ["functional", "eliminate", "r=3*x^3 - 1/2*x + 2", "t=7"]),
+    ("functional-reduce-linear", ["functional", "reduce", "r=2*x - 3/5", "n=3", "m=4"]),
+    ("functional-reduce-quadratic", ["functional", "reduce", "r=x^2 + x + 1", "n=2", "m=3"]),
+    ("functional-reduce-cubic", ["functional", "reduce", "r=3*x^3 - 1/2*x + 2", "n=1", "m=2"]),
+]
+
 
 def selftest_details() -> dict:
     return {str(res.number): [res.passed, res.detail] for res in run_all(DEFAULT_SEED)}
+
+
+def cli_text(args: list) -> list:
+    """Exit code and stdout of ``rbx`` on ``args``."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(args)
+    return [code, out.getvalue()]
 
 
 def cli_output(argv: list, tmp_path: Path) -> list:
@@ -57,10 +76,8 @@ def cli_output(argv: list, tmp_path: Path) -> list:
         path = tmp_path / f"arg{i}.json"
         path.write_text(json.dumps(item))
         args.append(str(path))
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(args)
-    return [code, [json.loads(line) for line in out.getvalue().splitlines()]]
+    code, out = cli_text(args)
+    return [code, [json.loads(line) for line in out.splitlines()]]
 
 
 @pytest.fixture(scope="module")
@@ -77,10 +94,16 @@ def test_cli_output(name, argv, golden, tmp_path):
     assert cli_output(argv, tmp_path) == golden["cli"][name]
 
 
+@pytest.mark.parametrize("name,argv", TEXT_CASES, ids=[name for name, _ in TEXT_CASES])
+def test_cli_text(name, argv, golden):
+    assert cli_text(argv) == golden["cli_text"][name]
+
+
 def _regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cli = {name: cli_output(argv, Path(tmp)) for name, argv in CLI_CASES}
-    data = {"seed": DEFAULT_SEED, "selftest": selftest_details(), "cli": cli}
+    text = {name: cli_text(argv) for name, argv in TEXT_CASES}
+    data = {"seed": DEFAULT_SEED, "selftest": selftest_details(), "cli": cli, "cli_text": text}
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 

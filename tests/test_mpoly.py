@@ -111,7 +111,34 @@ class TestUnivariateSpecialisation:
         ) * q.eval_univariate(assign)
 
 
+def ref_to_text(p):
+    """Text form with terms sorted by dense exponent vectors."""
+    if not p.terms:
+        return "0"
+    width = max(p.variables(), default=-1) + 1
+
+    def dense_key(key):
+        dense = [0] * width
+        for var, exp in key:
+            dense[var] = exp
+        return (-sum(dense), [-e for e in dense])
+
+    parts = []
+    for key in sorted(p.terms, key=dense_key):
+        coef = p.terms[key]
+        mag = abs(coef)
+        vars_part = "*".join(f"c{v}" if e == 1 else f"c{v}^{e}" for v, e in key)
+        body = str(mag) if not key else vars_part if mag == 1 else f"{mag}*{vars_part}"
+        sign = ("-" if coef < 0 else "") if not parts else (" - " if coef < 0 else " + ")
+        parts.append(sign + body)
+    return "".join(parts)
+
+
 class TestTextForm:
+    @given(mpolys(max_vars=6, max_terms=8))
+    def test_matches_dense_reference(self, p):
+        assert p.to_text() == ref_to_text(p)
+
     def test_graded_lex_order(self):
         p = MPoly.variable(0, 2) + c1 * 2
         assert p.to_text() == "c0^2 + 2*c1"

@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from hypothesis import given, strategies as st
+
+from rbx import linalg
 from rbx.actions import apply_word, apply_word_tuple
 from rbx.operators import AnalyticOp
 from rbx.poly import Poly
@@ -132,7 +135,31 @@ class TestSolveSingle:
         assert proc.stdout.startswith("optimize 1 raised")
 
 
+def ref_select_basepoints(rs):
+    """Integers 0, 1, 2, ... kept while they raise the rank of the evaluation columns."""
+    points, t = [], 0
+    while len(points) < len(rs):
+        trial = [[r(b) for b in points + [t]] for r in rs]
+        if linalg.rank(trial) > len(points):
+            points.append(t)
+        t += 1
+    return points
+
+
+small_polys = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=2), max_size=5
+).map(lambda cs: Poly(tuple(cs)))
+
+
 class TestSelectBasepoints:
+    @given(st.lists(small_polys, min_size=1, max_size=4))
+    def test_matches_greedy_reference(self, rs):
+        if linalg.rank([list(r.coeffs) + [0] * (5 - len(r.coeffs)) for r in rs]) < len(rs):
+            with pytest.raises(LinearlyDependent):
+                select_basepoints(rs)
+        else:
+            assert select_basepoints(rs) == ref_select_basepoints(rs)
+
     def test_unit_and_x(self):
         assert select_basepoints([Poly.one(), Poly.x()]) == [0, 1]
 
@@ -146,8 +173,6 @@ class TestSelectBasepoints:
             select_basepoints([Poly.x(), Poly((0, 2))])
 
     def test_matrix_invertible(self):
-        from rbx import linalg
-
         rng = random.Random(67)
         for m in (1, 2, 3):
             rs = [op.r for op in random_independent(rng, m, Fraction(0))]
