@@ -37,7 +37,7 @@ from .functionals import (
     satisfies_system,
     vanishes_on_curve,
 )
-from .mpoly import DegreeCapExceeded, MPoly, UnassignedVariable, degree_cap, set_degree_cap
+from .mpoly import DegreeCapExceeded, MPoly, UnassignedVariable
 from .operators import (
     AnalyticOp,
     Inconsistent,
@@ -90,7 +90,7 @@ __all__ = [
     "curve_coords", "curve_coords_symbolic", "elimination_polynomial",
     "functional_residual", "operator_from_coords", "recover_base_point",
     "reduced_equation", "satisfies_system", "vanishes_on_curve",
-    "DegreeCapExceeded", "MPoly", "UnassignedVariable", "degree_cap", "set_degree_cap",
+    "DegreeCapExceeded", "MPoly", "UnassignedVariable",
     "AnalyticOp", "Inconsistent", "NoRationalBasePoint", "NotMultiplierType", "TruncOp",
     "TruncationTooSmall", "ZeroMultiplier", "derived_multiplier", "first_rb_failure",
     "is_rb_upto", "odd_halving_example", "operator_to_point", "rb_residual",

@@ -27,6 +27,7 @@ from .functionals import (
     reduced_equation,
     satisfies_system,
 )
+from .mpoly import DegreeCapExceeded
 from .operators import (
     AnalyticOp,
     Inconsistent,
@@ -332,9 +333,10 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, DegreeCapExceeded) as exc:
         # argument-contract violations of any flavour: malformed files,
-        # unparsable polynomials, tuples that break a solver precondition
+        # unparsable polynomials, tuples that break a solver precondition,
+        # equations too large for the degree cap
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .mpoly import MPoly
@@ -92,55 +91,71 @@ def functional_residual(fc: FunctionalCoords, f: Poly, g: Poly) -> Fraction:
     return fc.pairing(f) * fc.pairing(g) + fc.pairing(argument)
 
 
-def coordinate_equation(r: Poly, n: int, m: int) -> MPoly:
-    """The quadratic coordinate equation for the pair (n, m), as a polynomial in the c_i."""
+def _equation(rs: Sequence[Fraction], c, n: int, m: int, top: bool = True):
+    """c_n c_m + sum_i (1/(i+n+1) + 1/(i+m+1)) r_i c_(i+n+m+1), coordinates read as c(index).
+
+    ``rs`` are the multiplier coefficients.  Works in any ring the
+    coordinates live in: rationals, or ``MPoly`` expressions.  With
+    ``top=False`` the i = deg r term, the highest coordinate, is left out.
+    """
+    value = c(n) * c(m)
+    for i in range(len(rs) if top else len(rs) - 1):
+        if rs[i]:
+            coef = Fraction(2 * i + n + m + 2, (i + n + 1) * (i + m + 1)) * rs[i]
+            value = value + c(i + n + m + 1) * coef
+    return value
+
+
+def _step(rs: Sequence[Fraction], c, t: int):
+    """c_t solved from the (t-1-k, 0) equation, in the coordinates below it read as c(index).
+
+    The divisor (1/t + 1/(k+1)) * lead(r) is nonzero in characteristic zero.
+    """
+    k = len(rs) - 1
+    divisor = Fraction(t + k + 1, t * (k + 1)) * rs[k]
+    return _equation(rs, c, t - 1 - k, 0, top=False) * (-1 / divisor)
+
+
+def _check_pair(r: Poly, n: int, m: int) -> None:
     if r.is_zero():
         raise ValueError("context multiplier must be nonzero")
     if n < 0 or m < 0:
         raise ValueError("pair indices must be non-negative")
-    quad = ((n, 2),) if n == m else tuple(sorted(((n, 1), (m, 1))))
-    terms: dict = {quad: Fraction(1)}
-    for i, ri in enumerate(r.coeffs):
-        if not ri:
-            continue
-        coef = (Fraction(1, i + n + 1) + Fraction(1, i + m + 1)) * ri
-        key = ((i + n + m + 1, 1),)
-        terms[key] = terms.get(key, Fraction(0)) + coef
-    return MPoly(terms)
 
 
-@lru_cache(maxsize=None)
+def coordinate_equation(r: Poly, n: int, m: int) -> MPoly:
+    """The quadratic coordinate equation for the pair (n, m), as a polynomial in the c_i."""
+    _check_pair(r, n, m)
+    return _equation(r.coeffs, MPoly.variable, n, m)
+
+
 def elimination_polynomial(r: Poly, t: int) -> MPoly:
     """Express coordinate c_t in the lower coordinates c_0 .. c_(t-1).
 
-    Solves the (n = t-1-k, m = 0) instance of the coordinate system for c_t;
-    the divisor (1/t + 1/(k+1)) * lead(r) is nonzero in characteristic zero.
+    Solves the (n = t-1-k, m = 0) instance of the coordinate system for c_t.
     """
     k = r.degree
     if r.is_zero():
         raise ValueError("context multiplier must be nonzero")
     if t <= k:
         raise IndexTooSmall(f"coordinate {t} is free; only indices above {k} are eliminable")
-    eq = coordinate_equation(r, t - 1 - k, 0)
-    pivot = ((t, 1),)
-    divisor = eq.terms[pivot]
-    rest = eq - MPoly({pivot: divisor})
-    return rest * (Fraction(-1) / divisor)
+    return _step(r.coeffs, MPoly.variable, t)
 
 
 def reduced_equation(r: Poly, n: int, m: int) -> MPoly:
     """Rewrite the (n, m) coordinate equation purely in c_0 .. c_k.
 
-    Substitutes the elimination polynomials for the highest coordinate
-    present, descending; each substitution only introduces lower indices.
+    Writes c_(k+1) .. c_(n+m+k+1) in c_0 .. c_k, lowest first, each by one
+    elimination step over the ones before it, then evaluates the equation.
     """
-    k = r.degree
-    eq = coordinate_equation(r, n, m)
-    while True:
-        high = max((v for v in eq.variables() if v > k), default=None)
-        if high is None:
-            return eq
-        eq = eq.subst(high, elimination_polynomial(r, high))
+    _check_pair(r, n, m)
+    if min(n, m) == 0:  # the step for c_(n+m+k+1) solves this very equation
+        return MPoly.zero()
+    rs, k = r.coeffs, r.degree
+    coords = [MPoly.variable(i) for i in range(k + 1)]
+    for t in range(k + 1, n + m + k + 2):
+        coords.append(_step(rs, coords.__getitem__, t))
+    return _equation(rs, coords.__getitem__, n, m)
 
 
 def vanishes_on_curve(r: Poly, n: int, m: int) -> bool:
@@ -159,31 +174,26 @@ def vanishes_on_curve(r: Poly, n: int, m: int) -> bool:
 def satisfies_system(r: Poly, head: Sequence[RatLike], budget: int = 8) -> bool:
     """Decide membership of a coordinate head in the solution set, at a finite budget.
 
-    The head (length deg r + 1) extends uniquely via the elimination
-    polynomials; membership holds iff every coordinate equation with
-    n, m <= budget is satisfied by the extension.
+    The head (length deg r + 1) extends uniquely by the elimination step;
+    membership holds iff every coordinate equation with n, m <= budget is
+    satisfied by the extension.
     """
     k = r.degree
     if r.is_zero():
         raise ValueError("context multiplier must be nonzero")
     if len(head) != k + 1:
         raise ValueError(f"head must have length {k + 1}, got {len(head)}")
-    coords: dict[int, Fraction] = {i: as_rat(v) for i, v in enumerate(head)}
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    rs = r.coeffs
+    coords = [as_rat(v) for v in head]
     for t in range(k + 1, 2 * budget + k + 2):
-        coords[t] = elimination_polynomial(r, t).eval_at(coords)
-    terms = [(i, ri) for i, ri in enumerate(r.coeffs) if ri]
-    for n in range(budget + 1):
-        for m in range(n, budget + 1):
-            value = coords[n] * coords[m]
-            for i, ri in terms:
-                value += (
-                    (Fraction(1, i + n + 1) + Fraction(1, i + m + 1))
-                    * ri
-                    * coords[i + n + m + 1]
-                )
-            if value:
-                return False
-    return True
+        coords.append(_step(rs, coords.__getitem__, t))
+    return not any(
+        _equation(rs, coords.__getitem__, n, m)
+        for n in range(budget + 1)
+        for m in range(n, budget + 1)
+    )
 
 
 def recover_base_point(r: Poly, head: Sequence[RatLike]) -> "Fraction | None":

@@ -1,4 +1,4 @@
-"""Exact rank and determinant over the rationals by one fraction-free elimination."""
+"""Exact rank, pivot columns and determinant over the rationals by one fraction-free elimination."""
 
 from __future__ import annotations
 
@@ -16,8 +16,12 @@ def _copy(rows: Sequence[Sequence[RatLike]]) -> list[list[Fraction]]:
     return out
 
 
-def _eliminate(mat: list[list[Fraction]]) -> tuple[int, Fraction]:
-    """Rank, and determinant when square, by Bareiss elimination (Math. Comp. 22, 1968).
+def _eliminate(mat: list[list[Fraction]]) -> tuple[list[int], Fraction]:
+    """Pivot columns, and determinant when square, by Bareiss elimination (Math. Comp. 22, 1968).
+
+    Columns are taken left to right, so a column is a pivot exactly when it
+    is independent of the columns before it; the number of pivots is the
+    rank.
 
     Each row is first scaled to integers by the lcm of its denominators.
     Every entry after the elimination step at pivot ``prev`` is a minor of
@@ -31,6 +35,7 @@ def _eliminate(mat: list[list[Fraction]]) -> tuple[int, Fraction]:
         ints.append([c.numerator * (den // c.denominator) for c in row])
         scale *= den
     nrows, ncols = len(ints), len(ints[0]) if ints else 0
+    pivots: list[int] = []
     r, sign, prev = 0, 1, 1
     for col in range(ncols):
         if r == nrows:
@@ -48,14 +53,15 @@ def _eliminate(mat: list[list[Fraction]]) -> tuple[int, Fraction]:
                 row[j] = (lead * row[j] - c * top[j]) // prev
             row[col] = 0
         prev = lead
+        pivots.append(col)
         r += 1
     square_full = r == nrows == ncols
-    return r, Fraction(sign * prev, scale) if square_full else Fraction(0)
+    return pivots, Fraction(sign * prev, scale) if square_full else Fraction(0)
 
 
 def rank(rows: Sequence[Sequence[RatLike]]) -> int:
     """Exact rank."""
-    return _eliminate(_copy(rows))[0]
+    return len(_eliminate(_copy(rows))[0])
 
 
 def det(rows: Sequence[Sequence[RatLike]]) -> Fraction:

@@ -5,39 +5,29 @@ pairs with positive exponents) to nonzero rational coefficients; the zero
 polynomial is the empty map.  Values are immutable by convention and all
 operations are pure.
 
-Products enforce a configurable total-degree cap (default 64) so a runaway
-substitution raises :class:`DegreeCapExceeded` instead of hanging.
+Products enforce a total-degree cap of 64 so a runaway elimination raises
+:class:`DegreeCapExceeded` instead of hanging.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .poly import NEG_INF, Poly, RatLike, as_rat
+from .poly import Poly, RatLike, as_rat
 
 Key = tuple[tuple[int, int], ...]
 
-_degree_cap = 64
+_DEGREE_CAP = 64
 
 
 class DegreeCapExceeded(ArithmeticError):
-    """A product term exceeded the configured total-degree cap."""
+    """A product term exceeded the total-degree cap."""
 
 
 class UnassignedVariable(LookupError):
     """Substitution map does not cover a variable of the polynomial."""
-
-
-def set_degree_cap(cap: int) -> None:
-    global _degree_cap
-    if cap < 1:
-        raise ValueError("degree cap must be positive")
-    _degree_cap = cap
-
-
-def degree_cap() -> int:
-    return _degree_cap
 
 
 def _canonical_key(exps: Iterable[tuple[int, int]]) -> Key:
@@ -106,11 +96,6 @@ class MPoly:
     def variables(self) -> set[int]:
         return {var for key in self.terms for var, _ in key}
 
-    def total_degree(self) -> "int | float":
-        if not self.terms:
-            return NEG_INF
-        return max(_key_degree(k) for k in self.terms)
-
     def coefficient(self, key: Iterable[tuple[int, int]]) -> Fraction:
         return self.terms.get(_canonical_key(key), Fraction(0))
 
@@ -146,9 +131,9 @@ class MPoly:
             for k1, c1 in self.terms.items():
                 for k2, c2 in other.terms.items():
                     key = _canonical_key(k1 + k2)
-                    if _key_degree(key) > _degree_cap:
+                    if _key_degree(key) > _DEGREE_CAP:
                         raise DegreeCapExceeded(
-                            f"product term degree {_key_degree(key)} exceeds cap {_degree_cap}"
+                            f"product term degree {_key_degree(key)} exceeds cap {_DEGREE_CAP}"
                         )
                     acc = out.get(key, Fraction(0)) + c1 * c2
                     if acc == 0:
@@ -167,26 +152,7 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    # -- substitution and evaluation ----------------------------------------
-
-    def subst(self, var: int, repl: "MPoly") -> "MPoly":
-        """Replace every occurrence of variable ``var`` by ``repl``, expanded."""
-        powers: list[MPoly] = [MPoly.constant(1)]
-
-        def power(e: int) -> MPoly:
-            while len(powers) <= e:
-                powers.append(powers[-1] * repl)
-            return powers[e]
-
-        out = MPoly.zero()
-        for key, coef in self.terms.items():
-            exp = dict(key).get(var, 0)
-            if exp == 0:
-                out = out + MPoly({key: coef})
-            else:
-                rest = tuple((v, e) for v, e in key if v != var)
-                out = out + MPoly({rest: coef}) * power(exp)
-        return out
+    # -- evaluation --------------------------------------------------------
 
     def eval_univariate(self, assign: Mapping[int, Poly]) -> Poly:
         """Substitute a univariate polynomial for every variable."""
@@ -218,13 +184,11 @@ class MPoly:
         """Diagnostic text form, terms in graded-lex order."""
         if not self.terms:
             return "0"
-        width = max(self.variables(), default=-1) + 1
 
         def sort_key(key: Key):
-            dense = [0] * width
-            for var, exp in key:
-                dense[var] = exp
-            return (-_key_degree(key), [-e for e in dense])
+            # dense exponent vectors compared lexicographically, read sparsely;
+            # the sentinel makes an exhausted key compare as all zeros
+            return (-_key_degree(key), tuple((var, -exp) for var, exp in key) + ((math.inf, 0),))
 
         parts: list[str] = []
         for key in sorted(self.terms, key=sort_key):

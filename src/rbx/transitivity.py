@@ -164,28 +164,15 @@ def select_basepoints(rs: Sequence[Poly]) -> list[Fraction]:
 
     Returns len(rs) points at which the evaluation matrix (r_i(b_j)) is
     invertible; raises :class:`LinearlyDependent` when no points can work.
+    Evaluation at 0 .. D, D the largest degree, is the coefficient matrix
+    times an invertible Vandermonde matrix, so it has the same rank and the
+    greedy points are its pivot columns.
     """
-    m = len(rs)
-    if linalg.rank(_coeff_rows(rs)) < m:
+    width = max((len(r.num) for r in rs), default=0)
+    pivots, _ = linalg._eliminate([[r(j) for j in range(width)] for r in rs])
+    if len(pivots) < len(rs):
         raise LinearlyDependent("multipliers must be linearly independent")
-    points: list[Fraction] = []
-    columns: list[list[Fraction]] = []
-    t = 0
-    while len(points) < m:
-        if t > 1000:  # cannot happen: independent polynomials separate on the integers
-            raise AssertionError("base point scan failed to reach full rank")
-        b = Fraction(t)
-        column = [r(b) for r in rs]
-        trial = [row + [column[i]] for i, row in enumerate(_rows_of(columns, m))]
-        if linalg.rank(trial) > len(points):
-            points.append(b)
-            columns.append(column)
-        t += 1
-    return points
-
-
-def _rows_of(columns: list[list[Fraction]], m: int) -> list[list[Fraction]]:
-    return [[col[i] for col in columns] for i in range(m)]
+    return [Fraction(j) for j in pivots]
 
 
 def _selector(points: Sequence[Fraction], index: int) -> Poly:

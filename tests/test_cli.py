@@ -100,6 +100,23 @@ class TestFunctional:
         assert any(v["member_Mr"] for v in verdicts)
         assert any(not v["member_Mr"] for v in verdicts)
 
+    def test_huge_index_system(self, capsys):
+        code, out, _ = run(capsys, ["functional", "system", "r=x", "n=100000000", "m=0"])
+        assert code == 0
+        assert out.strip() == "c0*c100000000 + 25000001/50000001*c100000002"
+
+    def test_degree_cap_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, ["functional", "reduce", "r=1", "n=40", "m=40"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "cap 64" in err
+
+    def test_negative_budget_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, ["functional", "check", "r=x", "--budget", "-1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "budget" in err
+
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, ["functional", "eliminate", "r=1"])
         assert code == 2

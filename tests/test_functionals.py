@@ -269,6 +269,13 @@ class TestMembership:
                 head = curve_coords(r, a, r.degree + 1).c
                 assert satisfies_system(r, head, 6)
 
+    def test_negative_budget_rejected(self):
+        head = curve_coords(X, 1, 2).c
+        with pytest.raises(ValueError, match="budget"):
+            satisfies_system(X, head, -1)
+        with pytest.raises(ValueError, match="budget"):
+            satisfies_system(X, (head[0] + 1, head[1]), -1)
+
     def test_off_curve_rejected(self):
         assert not satisfies_system(X, (Fraction(-1, 2), Fraction(0)), 6)
 
@@ -302,7 +309,6 @@ class TestMembership:
                 assert recover_base_point(r, curve_coords(r, a, r.degree + 2).c) == a
                 bumped = (head[0] + 1,) + head[1:]
                 assert not satisfies_system(r, bumped, 8)
-
 
     @settings(deadline=None)
     @given(multipliers(), small_rats, st.integers(0, 5), st.integers(0, 3), small_rats)
