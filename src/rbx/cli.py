@@ -242,19 +242,14 @@ def _cmd_transit(args: argparse.Namespace) -> int:
         src = _operator_from(_read_json(args.src), args.src)
         dst = _operator_from(_read_json(args.dst), args.dst)
         word = solve_single(src, dst)
-        verified = apply_word(word, src) == dst
     else:
         src_tuple = _tuple_from(_read_json(args.src), args.src)
         dst_tuple = _tuple_from(_read_json(args.dst), args.dst)
         solver = solve_tuple_independent if args.mode == "independent" else solve_distinct_tuple
         word = solver(src_tuple, dst_tuple)
-        verified = apply_word_tuple(word, src_tuple) == dst_tuple
-    print(
-        json.dumps(
-            {"word": word_to_json(word), "word_length": len(word), "verified": verified}
-        )
-    )
-    return 0 if verified else 1
+    # the solvers verify their words before returning and raise otherwise
+    print(json.dumps({"word": word_to_json(word), "word_length": len(word), "verified": True}))
+    return 0
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:

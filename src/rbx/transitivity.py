@@ -1,12 +1,13 @@
 """Constructive word synthesis for the shear actions on analytic operators.
 
-Every solver here returns a word of generators and verifies it by exact
-application before returning; a wrong word is a bug, not a result, and
-raises :class:`VerificationFailed` (also under ``python -O``).  The
-staging device is :class:`DiagonalTuple`: an operator tuple whose multipliers
-hit prescribed nonzero values on a diagonal evaluation pattern
-(r_i(b_j) = c_i when i = j, else 0), which makes per-member fiber moves
-independent of each other.
+Each public solver returns a word of generators and verifies it once, by one
+exact application, before returning; a wrong word is a bug, not a result,
+and raises :class:`VerificationFailed` (also under ``python -O``).  The
+private builders ``_between`` and ``_independent`` keep only the checks that
+need no replay, and no public solver calls another.  The staging device is
+:class:`DiagonalTuple`: an operator tuple whose multipliers hit prescribed
+nonzero values on a diagonal evaluation pattern (r_i(b_j) = c_i when i = j,
+else 0), which makes per-member fiber moves independent of each other.
 
 Base points are always scanned deterministically through 0, 1, 2, ... so a
 fixed input yields a fixed word.
@@ -104,13 +105,9 @@ def _shared_base(ops: Sequence[AnalyticOp]) -> Fraction:
     return a
 
 
-def _coeff_rows(rs: Sequence[Poly]) -> list[list[Fraction]]:
-    width = max((len(r.coeffs) for r in rs), default=0) or 1
-    return [[r.coeff(j) for j in range(width)] for r in rs]
-
-
 def _is_independent(ops: Sequence[AnalyticOp]) -> bool:
-    return linalg.rank(_coeff_rows([op.r for op in ops])) == len(ops)
+    width = max(len(op.r.num) for op in ops)
+    return linalg.rank([[op.r.coeff(j) for j in range(width)] for op in ops]) == len(ops)
 
 
 def fiber_move(src: AnalyticOp, dst: AnalyticOp, b: RatLike) -> Shear:
@@ -278,15 +275,8 @@ def _to_canonical_pattern(ops: Sequence[AnalyticOp]) -> tuple[Word, DiagonalTupl
     return word1 + word2 + word3, diag
 
 
-def solve_tuple_independent(
-    src: Sequence[AnalyticOp], dst: Sequence[AnalyticOp]
-) -> Word:
-    """Word of shears carrying one independent tuple to another, memberwise.
-
-    Both tuples are staged onto the canonical pattern (1..m | 1..1); the
-    leftover mismatch is fixed by per-member fiber moves inside the pattern,
-    and the destination staging is undone by its inverse word.
-    """
+def _between(src: Sequence[AnalyticOp], dst: Sequence[AnalyticOp]) -> Word:
+    """Unverified :func:`solve_tuple_independent`: the word, not replayed."""
     m = len(src)
     if len(dst) != m:
         raise ValueError("tuples must have equal length")
@@ -302,9 +292,67 @@ def solve_tuple_independent(
         within.append(gen)
         cur = [gen.apply(op) for op in cur]
     word = word_src + tuple(within) + inverse_word(word_dst)
-    _verify(apply_word_tuple(word, src) == list(dst), "independent-tuple word misses its target")
     _verify(len(word) <= 10 * m * m + 20 * m, "independent-tuple word exceeds its length cap")
     return word
+
+
+def solve_tuple_independent(
+    src: Sequence[AnalyticOp], dst: Sequence[AnalyticOp]
+) -> Word:
+    """Word of shears carrying one independent tuple to another, memberwise.
+
+    Both tuples are staged onto the canonical pattern (1..m | 1..1); the
+    leftover mismatch is fixed by per-member fiber moves inside the pattern,
+    and the destination staging is undone by its inverse word.
+    """
+    word = _between(src, dst)
+    _verify(apply_word_tuple(word, src) == list(dst), "independent-tuple word misses its target")
+    return word
+
+
+def _independent(ops: Sequence[AnalyticOp]) -> tuple[Word, list[AnalyticOp]]:
+    """Unverified :func:`make_independent`: the word and the images of ``ops``.
+
+    The first m-1 images are the canonical monomials by construction, so
+    only the last member is carried through each new segment.
+    """
+    m = len(ops)
+    _shared_base(ops)
+    if len(set(ops)) != m:
+        raise DuplicateOperators("tuple members must be pairwise distinct")
+    if _is_independent(ops):
+        return (), list(ops)
+    a = ops[0].a
+    word, head = _independent(ops[: m - 1])
+    canonical = [AnalyticOp(a, Poly.monomial(i)) for i in range(m - 1)]
+    segment = _between(head, canonical)
+    cur = canonical + [apply_word(word + segment, ops[-1])]
+    word += segment
+    if not _is_independent(cur):
+        r = cur[-1].r
+        spike = Poly.monomial(m)
+        if r(0) not in (0, 1):
+            gen = ShearSquared(0, spike)
+        elif r(1) not in (0, 1):
+            gen = ShearSquared(1, spike - Poly.one())
+        elif r(-1) ** 2 != r(1):
+            gen = ShearSquared(-1, spike - Poly.constant((-1) ** m))
+        else:
+            # All three probes degenerate; then some coefficient is outside
+            # {0, 1} (an all-0/1 multiplier would have hit the probe at 1 or
+            # duplicated a canonical member).  Swap it into the constant slot
+            # and spike at 0.
+            p = next(i for i in range(m - 1) if r.coeff(i) not in (0, 1))
+            swapped = list(canonical)
+            swapped[0], swapped[p] = swapped[p], swapped[0]
+            segment = _between(canonical, swapped)
+            word += segment
+            cur = swapped + [apply_word(segment, cur[-1])]
+            gen = ShearSquared(0, spike)
+        word += (gen,)
+        cur = [gen.apply(op) for op in cur]
+    _verify(_is_independent(cur), "tuple is still dependent after the squared shear")
+    return word, cur
 
 
 def make_independent(ops: Sequence[AnalyticOp]) -> Word:
@@ -315,45 +363,9 @@ def make_independent(ops: Sequence[AnalyticOp]) -> Word:
     their span and a single squared shear (at 0, 1 or -1, after at most one
     coefficient swap) breaks the dependence.  The resulting rank is checked.
     """
-    m = len(ops)
-    _shared_base(ops)
-    if len(set(ops)) != m:
-        raise DuplicateOperators("tuple members must be pairwise distinct")
-    if _is_independent(ops):
-        return ()
-    a = ops[0].a
-    word: list[Generator] = []
-    cur = list(ops)
-
-    def emit(extra: Sequence[Generator]) -> None:
-        nonlocal cur
-        word.extend(extra)
-        cur = apply_word_tuple(extra, cur)
-
-    emit(make_independent(cur[: m - 1]))
-    canonical = [AnalyticOp(a, Poly.monomial(i)) for i in range(m - 1)]
-    emit(solve_tuple_independent(cur[: m - 1], canonical))
-    if not _is_independent(cur):
-        r = cur[-1].r
-        spike = Poly.monomial(m)
-        if r(0) not in (0, 1):
-            emit([ShearSquared(0, spike)])
-        elif r(1) not in (0, 1):
-            emit([ShearSquared(1, spike - Poly.one())])
-        elif r(-1) ** 2 != r(1):
-            emit([ShearSquared(-1, spike - Poly.constant((-1) ** m))])
-        else:
-            # All three probes degenerate; then some coefficient is outside
-            # {0, 1} (an all-0/1 multiplier would have hit the probe at 1 or
-            # duplicated a canonical member).  Swap it into the constant slot
-            # and spike at 0.
-            p = next(i for i in range(m - 1) if r.coeff(i) not in (0, 1))
-            swapped = list(canonical)
-            swapped[0], swapped[p] = swapped[p], swapped[0]
-            emit(solve_tuple_independent(cur[: m - 1], swapped))
-            emit([ShearSquared(0, spike)])
-    _verify(_is_independent(cur), "tuple is still dependent after the squared shear")
-    return tuple(word)
+    word, images = _independent(ops)
+    _verify(apply_word_tuple(word, ops) == images, "independence word misses its images")
+    return word
 
 
 def solve_distinct_tuple(
@@ -367,10 +379,8 @@ def solve_distinct_tuple(
     if len(src) != len(dst):
         raise ValueError("tuples must have equal length")
     _shared_base(list(src) + list(dst))
-    word_src = make_independent(src)
-    src_ind = apply_word_tuple(word_src, src)
-    word_dst = make_independent(dst)
-    dst_ind = apply_word_tuple(word_dst, dst)
-    word = word_src + solve_tuple_independent(src_ind, dst_ind) + inverse_word(word_dst)
+    word_src, src_ind = _independent(src)
+    word_dst, dst_ind = _independent(dst)
+    word = word_src + _between(src_ind, dst_ind) + inverse_word(word_dst)
     _verify(apply_word_tuple(word, src) == list(dst), "distinct-tuple word misses its target")
     return word

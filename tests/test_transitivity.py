@@ -11,8 +11,8 @@ import pytest
 
 from hypothesis import given, strategies as st
 
-from rbx import linalg
-from rbx.actions import apply_word, apply_word_tuple
+from rbx import linalg, selftest
+from rbx.actions import Dilate, Shear, Translate, apply_word, apply_word_tuple
 from rbx.operators import AnalyticOp
 from rbx.poly import Poly
 from rbx.transitivity import (
@@ -111,20 +111,36 @@ class TestSolveSingle:
 
 
     def test_wrong_word_raises_under_optimize(self):
-        # the final checks are not asserts: python -O must still reject a bad word
+        # the final checks are not asserts: python -O must still reject a bad
+        # word from every public solver
         import rbx
 
         script = "\n".join([
             "import sys",
-            "from rbx import transitivity",
-            "from rbx.actions import Shear",
+            "from rbx import actions, transitivity",
             "from rbx.operators import AnalyticOp",
             "from rbx.poly import Poly",
-            "transitivity.fiber_move = lambda src, dst, b: Shear(b, Poly((-b, 1)))",
-            "try:",
-            "    transitivity.solve_single(AnalyticOp(0, Poly.x()), AnalyticOp(1, Poly((2, 0, 1))))",
-            "except transitivity.VerificationFailed as exc:",
-            "    print('optimize', sys.flags.optimize, 'raised', exc)",
+            "consts = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.constant(2))]",
+            "monos = [AnalyticOp(0, Poly.x()), AnalyticOp(0, Poly.monomial(2))]",
+            "cases = [",
+            "    ('single', 'fiber_move', lambda src, dst, b: actions.Shear(b, Poly((-b, 1))),",
+            "     lambda: transitivity.solve_single(monos[0], AnalyticOp(1, Poly((2, 0, 1))))),",
+            "    ('independent', 'inverse_word', lambda word: (),",
+            "     lambda: transitivity.solve_tuple_independent([consts[0], monos[0]], monos)),",
+            "    ('make_independent', 'ShearSquared', lambda b, s: actions.ShearSquared(b, Poly.zero()),",
+            "     lambda: transitivity.make_independent(consts)),",
+            "    ('distinct', 'inverse_word', lambda word: (),",
+            "     lambda: transitivity.solve_distinct_tuple(consts, monos)),",
+            "]",
+            "for case, name, broken, solve in cases:",
+            "    saved = getattr(transitivity, name)",
+            "    setattr(transitivity, name, broken)",
+            "    try:",
+            "        solve()",
+            "    except transitivity.VerificationFailed:",
+            "        print('optimize', sys.flags.optimize, 'raised', case)",
+            "    finally:",
+            "        setattr(transitivity, name, saved)",
         ])
         src = str(Path(rbx.__file__).resolve().parents[1])
         proc = subprocess.run(
@@ -132,7 +148,10 @@ class TestSolveSingle:
             capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("optimize 1 raised")
+        assert proc.stdout.splitlines() == [
+            f"optimize 1 raised {case}"
+            for case in ("single", "independent", "make_independent", "distinct")
+        ]
 
 
 def ref_select_basepoints(rs):
@@ -383,6 +402,30 @@ class TestSolveDistinct:
             dst = _random_distinct(rng, 4, a)
             word = solve_distinct_tuple(src, dst)
             assert apply_word_tuple(word, src) == dst
+
+
+def test_distinct_words_are_checked_once(monkeypatch):
+    # one build pass and one checking replay: at most 2*m*len(word)
+    # generator applications per request, on the criterion-10 inputs
+    applied = [0]
+    for cls in (Shear, Translate, Dilate):
+        def counting(self, op, _apply=cls.apply):
+            applied[0] += 1
+            return _apply(self, op)
+
+        monkeypatch.setattr(cls, "apply", counting)
+    requests = []
+
+    def solve(src, dst):
+        applied[0] = 0
+        word = solve_distinct_tuple(src, dst)
+        requests.append((applied[0], 2 * len(src) * len(word)))
+        return word
+
+    monkeypatch.setattr(selftest, "solve_distinct_tuple", solve)
+    assert selftest.run_criterion(10).passed
+    assert len(requests) == 30
+    assert all(count <= bound for count, bound in requests), requests
 
 
 def _rank(ops):
