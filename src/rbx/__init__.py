@@ -17,7 +17,6 @@ from .actions import (
     affine_orbit_word,
     apply_word,
     apply_word_tuple,
-    fiber_value,
     inverse_word,
     word_from_json,
     word_to_json,
@@ -84,7 +83,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dilate", "InvalidGenerator", "Shear", "ShearSquared", "Translate", "Word",
-    "affine_orbit_word", "apply_word", "apply_word_tuple", "fiber_value",
+    "affine_orbit_word", "apply_word", "apply_word_tuple",
     "inverse_word", "word_from_json", "word_to_json",
     "FunctionalCoords", "IndexTooSmall", "coordinate_equation", "coords_from_operator",
     "curve_coords", "curve_coords_symbolic", "elimination_polynomial",

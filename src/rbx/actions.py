@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .operators import AnalyticOp
-from .poly import Poly, RatLike, as_rat
+from .poly import Poly, as_rat
 
 
 class InvalidGenerator(ValueError):
@@ -116,11 +116,6 @@ def apply_word_tuple(word: Iterable[Generator], ops: Sequence[AnalyticOp]) -> li
 def inverse_word(word: Sequence[Generator]) -> Word:
     """Word undoing ``word``: reversed order, each generator inverted."""
     return tuple(gen.inverse() for gen in reversed(word))
-
-
-def fiber_value(op: AnalyticOp, b: RatLike) -> Fraction:
-    """Value of the multiplier at b; invariant under shears based at b."""
-    return op.r(b)
 
 
 def affine_orbit_word(op1: AnalyticOp, op2: AnalyticOp) -> "Word | None":

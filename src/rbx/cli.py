@@ -68,7 +68,7 @@ def _read_text(path: str) -> str:
 def _read_json(path: str):
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -102,8 +102,11 @@ class TruncOp:
 
     @classmethod
     def from_json(cls, data: dict) -> "TruncOp":
-        images = tuple(Poly.from_text(t) for t in data["images"])
-        if int(data["N"]) != len(images) - 1:
+        n, texts = data["N"], data["images"]
+        if type(n) is not int or not isinstance(texts, list):
+            raise TypeError("expected an integer N and an array of image texts")
+        images = tuple(Poly.from_text(t) for t in texts)
+        if n != len(images) - 1:
             raise ValueError("truncation degree does not match the image count")
         return cls(images)
 

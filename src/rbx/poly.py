@@ -35,10 +35,10 @@ class DuplicateAbscissa(ValueError):
 
 
 def as_rat(value: RatLike) -> Fraction:
-    """Coerce an int, str or Fraction to an exact rational."""
+    """Coerce an int, str or Fraction to an exact rational; a bool is not one."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

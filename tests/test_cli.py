@@ -51,6 +51,17 @@ class TestVerify:
         code, _, _ = run(capsys, ["verify", path])
         assert code == 2
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = write(tmp_path, "deep.json", "[" * 200_000)
+        for argv in (
+            ["canon", path],
+            ["act", "--word", path, "--op", path],
+            ["transit", "--src", path, "--dst", path],
+        ):
+            code, _, err = run(capsys, argv)
+            assert code == 2, argv
+            assert "invalid JSON" in err
+
 
 class TestCanon:
     def test_linear_multiplier_point(self, tmp_path, capsys):
@@ -260,6 +271,25 @@ class TestWrongJsonTypes:
     def test_numeric_multiplier(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"a": "1", "r": 5})))
         code, _, err = run(capsys, ["verify", "-"])
+        assert code == 2
+        assert "bad operator payload" in err
+
+    def test_boolean_base_point(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"a": True, "r": "x"})))
+        code, _, err = run(capsys, ["canon", "-"])
+        assert code == 2
+        assert "bad operator payload" in err
+
+    def test_string_images(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"N": 0, "images": "x"})))
+        code, _, err = run(capsys, ["canon", "-"])
+        assert code == 2
+        assert "bad operator payload" in err
+
+    def test_fractional_truncation_degree(self, capsys, monkeypatch):
+        payload = {"N": 1.7, "images": ["x", "1/2*x^2"]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        code, _, err = run(capsys, ["canon", "-"])
         assert code == 2
         assert "bad operator payload" in err
 
