@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbx import linalg
 from rbx.operators import (
@@ -109,6 +110,119 @@ class TestResidual:
         trunc = AnalyticOp(0, Poly.one()).truncate(3)
         with pytest.raises(TruncationTooSmall):
             rb_residual(trunc, 0, 2, 2)
+
+
+# -- reference: the residual as Poly arithmetic, reach checks and messages included --
+
+def ref_rb_residual(op, weight, n, m):
+    weight = Fraction(weight)
+    top = op.n_max
+    if n > top or m > top or n + m > top:
+        raise TruncationTooSmall(f"pair ({n},{m}) is out of reach at truncation {top}")
+    rn, rm = op.images[n], op.images[m]
+    if rn.degree + m > top or rm.degree + n > top:
+        raise TruncationTooSmall(f"inner images for pair ({n},{m}) exceed truncation {top}")
+    inner = rn * Poly.monomial(m) + rm * Poly.monomial(n)
+    return rn * rm - op.apply(inner) - op.images[n + m] * weight
+
+
+def ref_first_failure(op, weight, d):
+    for n in range(d + 1):
+        for m in range(n, d + 1):
+            if not ref_rb_residual(op, weight, n, m).is_zero():
+                return (n, m)
+    return None
+
+
+def outcome(fn, *args):
+    """The return value, or the type and message of the exception raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+weights = st.sampled_from([0, 1, 5, Fraction(-3, 2)]) | st.integers(-4, 4) | st.fractions(
+    min_value=-5, max_value=5, max_denominator=7
+)
+small_images = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=5), max_size=9
+).map(lambda cs: Poly(tuple(cs)))
+
+
+@st.composite
+def random_truncations(draw):
+    """Generic TruncOps: zero images and images of degree above N included."""
+    n_max = draw(st.integers(0, 6))
+    images = draw(st.lists(st.just(Poly.zero()) | small_images, min_size=n_max + 1,
+                           max_size=n_max + 1))
+    return TruncOp(tuple(images))
+
+
+def tall_rat(draw, bits=64):
+    return Fraction(draw(st.integers(-(2**bits), 2**bits)), draw(st.integers(1, 2**bits)))
+
+
+@st.composite
+def bumped_truncations(draw):
+    """Analytic truncations at 64-bit heights, some with one image constant bumped.
+
+    A bump of R(x^t) with t > k (k the multiplier degree) is first read by a
+    pair after (0, 0).
+    """
+    k, d = draw(st.integers(0, 3)), draw(st.integers(0, 5))
+    r = Poly(tuple(tall_rat(draw) for _ in range(k)) + (tall_rat(draw) or Fraction(1),))
+    images = list(AnalyticOp(tall_rat(draw), r).truncate(2 * d + k + 1).images)
+    if draw(st.booleans()):
+        t = draw(st.integers(k + 1, len(images) - 1))
+        images[t] = images[t] + Poly.constant(tall_rat(draw) or 1)
+    return TruncOp(tuple(images)), d
+
+
+class TestResidualMatchesReference:
+    """rb_residual and first_rb_failure agree with the Poly formula, errors included."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(random_truncations(), weights, st.integers(0, 8), st.integers(0, 8))
+    def test_residual_on_random_truncations(self, op, weight, n, m):
+        assert outcome(rb_residual, op, weight, n, m) == outcome(ref_rb_residual, op, weight, n, m)
+
+    @settings(deadline=None, max_examples=200)
+    @given(random_truncations(), weights, st.integers(0, 8))
+    def test_first_failure_on_random_truncations(self, op, weight, d):
+        assert outcome(first_rb_failure, op, weight, d) == outcome(ref_first_failure, op, weight, d)
+
+    @settings(deadline=None, max_examples=150)
+    @given(bumped_truncations(), st.just(0) | weights, st.integers(-1, 2))
+    def test_first_failure_on_bumped_analytic_truncations(self, case, weight, extra):
+        # extra > 0 asks for more pairs than the truncation reaches
+        op, d = case
+        d = max(d + extra, 0)
+        assert outcome(first_rb_failure, op, weight, d) == outcome(ref_first_failure, op, weight, d)
+
+    @settings(deadline=None, max_examples=60)
+    @given(bumped_truncations(), weights, st.data())
+    def test_residual_on_bumped_analytic_truncations(self, case, weight, data):
+        op = case[0]
+        n, m = data.draw(st.integers(0, op.n_max)), data.draw(st.integers(0, op.n_max))
+        assert outcome(rb_residual, op, weight, n, m) == outcome(ref_rb_residual, op, weight, n, m)
+
+    def test_later_failing_pair_and_reach_messages(self):
+        # plain integration with R(x^2) bumped by 1: (0, 0) holds and (0, 1),
+        # whose inner image R(1)*x = x^2 reads R(x^2), is the first failure
+        images = list(AnalyticOp(0, Poly.one()).truncate(6).images)
+        images[2] = images[2] + Poly.one()
+        op = TruncOp(tuple(images))
+        assert first_rb_failure(op, 0, 3) == ref_first_failure(op, 0, 3) == (0, 1)
+        plain = AnalyticOp(0, Poly.one()).truncate(4)
+        assert first_rb_failure(plain, 0, 1) is None
+        assert outcome(first_rb_failure, plain, 0, 3) == (
+            TruncationTooSmall, "inner images for pair (1,3) exceed truncation 4"
+        )
+        zero = TruncOp((Poly.zero(),) * 5)
+        assert outcome(first_rb_failure, zero, 0, 5) == (
+            TruncationTooSmall, "pair (0,5) is out of reach at truncation 4"
+        )
 
 
 class TestOddHalving:
