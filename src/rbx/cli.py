@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -117,7 +118,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     weight = _parse_rat_flag(args.weight, "weight")
     degree = args.degree
     if isinstance(op, AnalyticOp):
-        trunc = op.truncate(2 * degree + op.r.degree + 1)
+        # first_rb_failure refuses a negative degree
+        trunc = op.truncate(max(2 * degree + op.r.degree + 1, 0))
     else:
         trunc = op
     try:
@@ -222,8 +224,9 @@ def _cmd_functional(args: argparse.Namespace) -> int:
 
 
 def _cmd_act(args: argparse.Namespace) -> int:
+    payload = _read_json(args.word)
     try:
-        word = word_from_json(_read_json(args.word))
+        word = word_from_json(payload)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"{args.word}: bad word payload: {exc}") from exc
     data = _read_json(args.op)
@@ -327,7 +330,14 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``rbx selftest | head -1``); send what is
+        # still buffered to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, DegreeCapExceeded) as exc:
         # argument-contract violations of any flavour: malformed files,
         # unparsable polynomials, tuples that break a solver precondition,

@@ -6,6 +6,9 @@ then integrate with antiderivative vanishing at a".  :class:`TruncOp` is a
 generic linear operator cut off at the monomials ``x^0 .. x^N``, stored as
 the list of their images.
 
+The identity check runs on integer rows: the images are put over one
+common denominator once, and no polynomial is built per monomial pair.
+
 ``operator_to_point`` recovers the moduli point from a truncation: the
 multiplier comes from differentiating the images, the base point is read
 off the gcd of the low-degree images, and the result is re-verified by an
@@ -14,6 +17,7 @@ exact round trip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,6 +115,38 @@ class TruncOp:
         return cls(images)
 
 
+def _scaled_residuals(op: TruncOp, weight: Fraction, pairs):
+    """Yield the residual on each pair (n, m), times D^2*q, as an integer vector.
+
+    With the images R(x^i) = M[i]/D over one denominator and weight p/q it is
+    q*(M[n]*M[m] - sum_i M[n][i]*M[i+m] - sum_i M[m][i]*M[i+n]) - p*D*M[n+m].
+    """
+    den = math.lcm(*(p.den for p in op.images))
+    rows = [[c * (den // p.den) for c in p.num] for p in op.images]
+    top, width = op.n_max, max(map(len, rows))
+    for n, m in pairs:
+        if n > top or m > top or n + m > top:
+            raise TruncationTooSmall(f"pair ({n},{m}) is out of reach at truncation {top}")
+        rn, rm = rows[n], rows[m]
+        if len(rn) - 1 + m > top or len(rm) - 1 + n > top:
+            raise TruncationTooSmall(f"inner images for pair ({n},{m}) exceed truncation {top}")
+        out = [0] * max(len(rn) + len(rm), width)
+        for i, a in enumerate(rn):
+            if a:
+                for j, b in enumerate(rm):
+                    out[i + j] += a * b
+        for row, shift in ((rn, m), (rm, n)):
+            for i, a in enumerate(row):
+                if a:
+                    for j, b in enumerate(rows[i + shift]):
+                        out[j] -= a * b
+        if weight:
+            out = [weight.denominator * c for c in out]
+            for j, b in enumerate(rows[n + m]):
+                out[j] -= weight.numerator * den * b
+        yield out
+
+
 def rb_residual(op: TruncOp, weight: RatLike, n: int, m: int) -> Poly:
     """Defect of the weight-``weight`` Rota-Baxter identity on the pair (x^n, x^m).
 
@@ -120,27 +156,19 @@ def rb_residual(op: TruncOp, weight: RatLike, n: int, m: int) -> Poly:
     if n < 0 or m < 0:
         raise ValueError("monomial exponents must be non-negative")
     weight = as_rat(weight)
-    top = op.n_max
-    if n > top or m > top or n + m > top:
-        raise TruncationTooSmall(f"pair ({n},{m}) is out of reach at truncation {top}")
-    rn, rm = op.images[n], op.images[m]
-    if rn.degree + m > top or rm.degree + n > top:
-        raise TruncationTooSmall(
-            f"inner images for pair ({n},{m}) exceed truncation {top}"
-        )
-    inner = rn * Poly.monomial(m) + rm * Poly.monomial(n)
-    residual = rn * rm - op.apply(inner)
-    if weight:
-        residual = residual - op.apply(Poly.monomial(n + m)) * weight
-    return residual
+    (residual,) = _scaled_residuals(op, weight, [(n, m)])
+    scale = math.lcm(*(p.den for p in op.images)) ** 2 * weight.denominator
+    return Poly(Fraction(c, scale) for c in residual)
 
 
 def first_rb_failure(op: TruncOp, weight: RatLike, d: int) -> "tuple[int, int] | None":
     """First pair (n, m), n <= m <= d, where the identity fails; None if all hold."""
-    for n in range(d + 1):
-        for m in range(n, d + 1):
-            if not rb_residual(op, weight, n, m).is_zero():
-                return (n, m)
+    if d < 0:
+        raise ValueError(f"identity check degree must be non-negative, got {d}")
+    pairs = [(n, m) for n in range(d + 1) for m in range(n, d + 1)]
+    for pair, residual in zip(pairs, _scaled_residuals(op, as_rat(weight), pairs)):
+        if any(residual):
+            return pair
     return None
 
 

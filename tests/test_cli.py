@@ -2,8 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import rbx
 from rbx.cli import main
 from rbx.operators import AnalyticOp, TruncOp
 from rbx.poly import Poly
@@ -61,6 +66,18 @@ class TestVerify:
             code, _, err = run(capsys, argv)
             assert code == 2, argv
             assert "invalid JSON" in err
+
+    def test_negative_degree_is_an_input_error(self, tmp_path, capsys):
+        cases = [
+            ({"a": "1", "r": "x^2+1"}, "-1"),
+            ({"a": "1", "r": "1"}, "-1"),
+            (AnalyticOp(0, Poly.one()).truncate(5).to_json(), "-3"),
+        ]
+        for payload, degree in cases:
+            path = write(tmp_path, "op.json", payload)
+            code, out, err = run(capsys, ["verify", path, "--degree", degree])
+            assert (code, out) == (2, "")
+            assert err == f"error: identity check degree must be non-negative, got {degree}\n"
 
 
 class TestCanon:
@@ -166,6 +183,17 @@ class TestAct:
         opfile = write(tmp_path, "op.json", {"a": "0", "r": "1"})
         code, _, _ = run(capsys, ["act", "--word", word, "--op", opfile])
         assert code == 2
+
+    def test_unreadable_word_file_is_named_once(self, tmp_path, capsys):
+        opfile = write(tmp_path, "op.json", {"a": "0", "r": "1"})
+        bad = write(tmp_path, "w.json", "[{")
+        code, out, err = run(capsys, ["act", "--word", bad, "--op", opfile])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: invalid JSON: ") and err.count(bad) == 1
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, ["act", "--word", missing, "--op", opfile])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {missing}: ")
 
 
 class TestTransit:
@@ -301,3 +329,19 @@ class TestSelftestCommand:
         lines = out.strip().splitlines()
         assert len([l for l in lines if l.startswith("criterion")]) == 11
         assert lines[-1].startswith("selftest: 11/11")
+
+    def test_closed_stdout_is_not_a_traceback(self):
+        # as in ``rbx selftest | head -1``: the reader is gone before the first
+        # line is written, with per-print writes and with one write at exit
+        src = str(Path(rbx.__file__).resolve().parents[1])
+        for unbuffered in ("1", ""):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "rbx.cli", "selftest"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            )
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait(timeout=60) == 1
+            assert err == b""

@@ -111,6 +111,11 @@ class TestResidual:
         with pytest.raises(TruncationTooSmall):
             rb_residual(trunc, 0, 2, 2)
 
+    def test_negative_degree_rejected(self):
+        trunc = AnalyticOp(0, Poly.one()).truncate(3)
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            first_rb_failure(trunc, 0, -1)
+
 
 # -- reference: the residual as Poly arithmetic, reach checks and messages included --
 
