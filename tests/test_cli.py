@@ -1,5 +1,6 @@
 """Command-line behaviour: formats, exit codes and fixture round-trips."""
 
+import errno
 import io
 import json
 import os
@@ -7,6 +8,8 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import rbx
 from rbx.cli import main
@@ -320,6 +323,60 @@ class TestWrongJsonTypes:
         code, _, err = run(capsys, ["canon", "-"])
         assert code == 2
         assert "bad operator payload" in err
+
+
+# each command with one bad file argument; ``good`` fills the other file arguments
+_BAD_FILE_ARGV = {
+    "verify": lambda bad, good: ["verify", bad],
+    "canon": lambda bad, good: ["canon", bad],
+    "act-op": lambda bad, good: ["act", "--word", good["word"], "--op", bad],
+    "act-word": lambda bad, good: ["act", "--word", bad, "--op", good["op"]],
+    "transit": lambda bad, good: ["transit", "--src", bad, "--dst", good["op"]],
+    "transit-independent": lambda bad, good: [
+        "transit", "--src", good["op"], "--dst", bad, "--mode", "independent"
+    ],
+    "orbit": lambda bad, good: ["orbit", "--aut", good["op"], bad],
+}
+
+_BAD_PAYLOADS = {
+    "invalid-json": "{not json",
+    "nested-array": [[{"a": "1", "r": "x"}]],
+    "empty-array": [],
+    "bad-operator": {"a": "1", "r": "x^^2"},
+    "bad-word": [{"type": "GX", "nu": "1"}],
+}
+
+# a word file holds an array: ``[]`` is the empty word, a nested array a bad generator
+_OPERATOR_CASES = ["missing", "invalid-json", "nested-array", "empty-array", "bad-operator"]
+_WORD_CASES = ["missing", "invalid-json", "nested-array", "bad-word"]
+_BAD_CASES = [
+    (command, case)
+    for command in _BAD_FILE_ARGV
+    for case in (_WORD_CASES if command == "act-word" else _OPERATOR_CASES)
+]
+
+
+class TestBadInputFiles:
+    """Every unreadable or malformed input file exits 2, naming its path once."""
+
+    @pytest.mark.parametrize("command,case", _BAD_CASES)
+    def test_exit_two_and_path_named_once(self, tmp_path, capsys, command, case):
+        good = {
+            "word": write(tmp_path, "word.json", [{"type": "GA", "nu": "1"}]),
+            "op": write(tmp_path, "op.json", {"a": "0", "r": "x"}),
+        }
+        if case == "missing":
+            bad = str(tmp_path / "missing.json")
+        else:
+            bad = write(tmp_path, "bad.json", _BAD_PAYLOADS[case])
+        code, out, err = run(capsys, _BAD_FILE_ARGV[command](bad, good))
+        assert (code, out) == (2, "")
+        if case == "missing":
+            # the operating system's message quotes the name a second time
+            oserror = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), bad)
+            assert err == f"error: cannot read {bad}: {oserror}\n"
+        else:
+            assert err.startswith(f"error: {bad}: ") and err.count(bad) == 1
 
 
 class TestSelftestCommand:

@@ -6,7 +6,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rbx.poly import (
     DuplicateAbscissa,
@@ -370,7 +370,36 @@ class TestRationalRoots:
         assert common_root(linear(a) ** 3 * Poly.constant(lead)) == a
 
 
+def ref_poly_text(cs):
+    """Text form of a dense Fraction list, highest power first."""
+    parts = []
+    for exp in reversed(range(len(cs))):
+        c = cs[exp]
+        if c == 0:
+            continue
+        mag = abs(c)
+        mono = "" if exp == 0 else "x" if exp == 1 else f"x^{exp}"
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        sign = ("-" if c < 0 else "") if not parts else (" - " if c < 0 else " + ")
+        parts.append(sign + body)
+    return "".join(parts) or "0"
+
+
+text_coeffs = st.lists(st.sampled_from([0, 0, 1, -1]).map(Fraction) | tall_rationals, max_size=41)
+
+
 class TestTextGrammar:
+    @given(text_coeffs)
+    @example([])
+    @example([Fraction(0)])
+    @example([Fraction(-7, 3)])
+    @example([Fraction(0), Fraction(-1)])
+    @example([Fraction(1), Fraction(0), Fraction(-1)])
+    @example([Fraction(2**80 - 1, 2**40 + 1), Fraction(0), Fraction(-(2**80))])
+    @example([Fraction(0)] * 40 + [Fraction(-1)])
+    def test_to_text_matches_dense_reference(self, cs):
+        assert Poly(tuple(cs)).to_text() == ref_poly_text(cs)
+
     def test_mixed_sign_terms(self):
         p = Poly.from_text("-1/2*x^2 + x - 3")
         assert p == Poly((-3, 1, Fraction(-1, 2)))
