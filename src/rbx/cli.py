@@ -40,8 +40,9 @@ from .operators import (
     first_rb_failure,
     operator_to_point,
 )
-from .poly import Poly, PolyParseError, as_rat
+from .poly import Poly, as_rat
 from .selftest import DEFAULT_SEED, run_all
+from .transitivity import solve_distinct_tuple, solve_single, solve_tuple_independent
 
 _DOMAIN_ERRORS = (
     NotMultiplierType,
@@ -56,49 +57,47 @@ class InputError(ValueError):
     """Unreadable or malformed input file."""
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+def _load(path: str, build, what: str):
+    """Read ``path`` (``-`` for stdin), parse its JSON and ``build`` one value from it.
+
+    Any failure is one :class:`InputError`, labelled by its step, naming the path once.
+    """
+    label = f"cannot read {path}"
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        label = f"{path}: invalid JSON"
+        data = json.loads(text)
+        label = f"{path}: bad {what} payload"
+        return build(data)
+    except (OSError, RecursionError, KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"{label}: {exc}") from exc
 
 
-def _read_json(path: str):
-    try:
-        return json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _operator_from(data, path: str, truncation: bool = False) -> "AnalyticOp | TruncOp":
-    """Build one operator from parsed JSON; a truncation only where allowed."""
+def _point(data) -> AnalyticOp:
+    """A moduli point from its JSON object."""
     if not isinstance(data, dict):
-        raise InputError(f"{path}: expected an operator object")
-    try:
-        if truncation and "images" in data:
-            return TruncOp.from_json(data)
-        return AnalyticOp.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{path}: bad operator payload: {exc}") from exc
+        raise TypeError("expected an operator object")
+    return AnalyticOp.from_json(data)
 
 
-def _tuple_from(data, path: str) -> list[AnalyticOp]:
-    """Build an operator tuple from parsed JSON: one object or a non-empty array."""
-    if isinstance(data, dict):
-        data = [data]
-    if not isinstance(data, list) or not data:
-        raise InputError(f"{path}: expected an operator or a non-empty operator array")
-    return [_operator_from(item, path) for item in data]
+def _point_or_truncation(data) -> "AnalyticOp | TruncOp":
+    """A truncation where the object carries images, else a moduli point."""
+    if isinstance(data, dict) and "images" in data:
+        return TruncOp.from_json(data)
+    return _point(data)
 
 
-def _parse_rat_flag(text: str, what: str) -> Fraction:
-    try:
-        return as_rat(text)
-    except (ValueError, PolyParseError) as exc:
-        raise InputError(f"bad {what} {text!r}") from exc
+def _points(data) -> "AnalyticOp | list[AnalyticOp]":
+    """One moduli point or a non-empty array of them, in the shape given."""
+    if isinstance(data, list):
+        if not data:
+            raise ValueError("expected an operator or a non-empty operator array")
+        return [_point(item) for item in data]
+    return _point(data)
 
 
 def _keyvals(pairs: list[str]) -> dict[str, str]:
@@ -114,8 +113,11 @@ def _keyvals(pairs: list[str]) -> dict[str, str]:
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    op = _operator_from(_read_json(args.opfile), args.opfile, truncation=True)
-    weight = _parse_rat_flag(args.weight, "weight")
+    op = _load(args.opfile, _point_or_truncation, "operator")
+    try:
+        weight = as_rat(args.weight)
+    except ValueError as exc:
+        raise InputError(f"bad weight {args.weight!r}") from exc
     degree = args.degree
     if isinstance(op, AnalyticOp):
         # first_rb_failure refuses a negative degree
@@ -138,7 +140,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
-    op = _operator_from(_read_json(args.opfile), args.opfile, truncation=True)
+    op = _load(args.opfile, _point_or_truncation, "operator")
     if isinstance(op, AnalyticOp):
         trunc = op.truncate(op.r.degree + 1)
     else:
@@ -224,40 +226,32 @@ def _cmd_functional(args: argparse.Namespace) -> int:
 
 
 def _cmd_act(args: argparse.Namespace) -> int:
-    payload = _read_json(args.word)
-    try:
-        word = word_from_json(payload)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{args.word}: bad word payload: {exc}") from exc
-    data = _read_json(args.op)
-    if isinstance(data, list):
-        images = apply_word_tuple(word, _tuple_from(data, args.op))
-        print(json.dumps([op.to_json() for op in images]))
+    word = _load(args.word, word_from_json, "word")
+    ops = _load(args.op, _points, "operator")
+    if isinstance(ops, list):
+        print(json.dumps([op.to_json() for op in apply_word_tuple(word, ops)]))
     else:
-        print(json.dumps(apply_word(word, _operator_from(data, args.op)).to_json()))
+        print(json.dumps(apply_word(word, ops).to_json()))
     return 0
 
 
 def _cmd_transit(args: argparse.Namespace) -> int:
-    from .transitivity import solve_distinct_tuple, solve_single, solve_tuple_independent
-
     if args.mode == "single":
-        src = _operator_from(_read_json(args.src), args.src)
-        dst = _operator_from(_read_json(args.dst), args.dst)
+        src, dst = (_load(path, _point, "operator") for path in (args.src, args.dst))
         word = solve_single(src, dst)
     else:
-        src_tuple = _tuple_from(_read_json(args.src), args.src)
-        dst_tuple = _tuple_from(_read_json(args.dst), args.dst)
+        loaded = [_load(path, _points, "operator") for path in (args.src, args.dst)]
+        # one operator stands for the tuple of length one
+        src, dst = ([ops] if isinstance(ops, AnalyticOp) else ops for ops in loaded)
         solver = solve_tuple_independent if args.mode == "independent" else solve_distinct_tuple
-        word = solver(src_tuple, dst_tuple)
+        word = solver(src, dst)
     # the solvers verify their words before returning and raise otherwise
     print(json.dumps({"word": word_to_json(word), "word_length": len(word), "verified": True}))
     return 0
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
-    op1 = _operator_from(_read_json(args.op1), args.op1)
-    op2 = _operator_from(_read_json(args.op2), args.op2)
+    op1, op2 = (_load(path, _point, "operator") for path in (args.op1, args.op2))
     word = affine_orbit_word(op1, op2)
     if word is None:
         print(json.dumps({"in_orbit": False, "word": None}))

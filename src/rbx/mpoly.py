@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .poly import Poly, RatLike, as_rat
+from .poly import Poly, RatLike, _join_terms, as_rat
 
 Key = tuple[tuple[int, int], ...]
 
@@ -95,9 +95,6 @@ class MPoly:
 
     def variables(self) -> set[int]:
         return {var for key in self.terms for var, _ in key}
-
-    def coefficient(self, key: Iterable[tuple[int, int]]) -> Fraction:
-        return self.terms.get(_canonical_key(key), Fraction(0))
 
     # -- ring operations ---------------------------------------------------
 
@@ -182,32 +179,16 @@ class MPoly:
 
     def to_text(self) -> str:
         """Diagnostic text form, terms in graded-lex order."""
-        if not self.terms:
-            return "0"
 
         def sort_key(key: Key):
             # dense exponent vectors compared lexicographically, read sparsely;
             # the sentinel makes an exhausted key compare as all zeros
             return (-_key_degree(key), tuple((var, -exp) for var, exp in key) + ((math.inf, 0),))
 
-        parts: list[str] = []
-        for key in sorted(self.terms, key=sort_key):
-            coef = self.terms[key]
-            mag = -coef if coef < 0 else coef
-            vars_part = "*".join(
-                f"c{var}" if exp == 1 else f"c{var}^{exp}" for var, exp in key
-            )
-            if not key:
-                body = str(mag)
-            elif mag == 1:
-                body = vars_part
-            else:
-                body = f"{mag}*{vars_part}"
-            if not parts:
-                parts.append(f"-{body}" if coef < 0 else body)
-            else:
-                parts.append(f" - {body}" if coef < 0 else f" + {body}")
-        return "".join(parts)
+        return _join_terms(
+            (self.terms[key], "*".join(f"c{v}" if e == 1 else f"c{v}^{e}" for v, e in key))
+            for key in sorted(self.terms, key=sort_key)
+        )
 
     def __str__(self) -> str:
         return self.to_text()

@@ -89,18 +89,6 @@ class TruncOp:
     def n_max(self) -> int:
         return len(self.images) - 1
 
-    def apply(self, f: Poly) -> Poly:
-        """Extend the monomial images by linearity."""
-        if f.degree > self.n_max:
-            raise TruncationTooSmall(
-                f"image of degree-{f.degree} argument needs truncation {f.degree}, have {self.n_max}"
-            )
-        acc = Poly.zero()
-        for i, c in enumerate(f.num):
-            if c:
-                acc = acc + self.images[i] * c
-        return acc * Fraction(1, f.den)
-
     def to_json(self) -> dict:
         return {"N": self.n_max, "images": [p.to_text() for p in self.images]}
 

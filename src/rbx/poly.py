@@ -11,7 +11,8 @@ integers and ``common_root`` reads a rational root off it.
 The module also owns the polynomial text grammar used by the CLI and the
 JSON payloads: a sum of terms ``[+-] coef [*] [x [^ exp]]`` with ``coef``
 a rational literal ``int[/posint]``, whitespace ignored.  ``to_text`` and
-``from_text`` round-trip bit-exactly.
+``from_text`` round-trip bit-exactly, and ``as_rat`` reads every rational
+string, signed, in the same literal grammar.
 """
 
 from __future__ import annotations
@@ -34,18 +35,48 @@ class DuplicateAbscissa(ValueError):
     """Interpolation nodes share an x-value."""
 
 
+# the one rational literal: unsigned in a polynomial term, signed in as_rat
+_LITERAL = r"\d+(?:/\d+)?"
+_RAT_RE = re.compile(rf"[+-]?{_LITERAL}")
+_TERM_RE = re.compile(
+    r"(?P<sign>[+-]?)"
+    rf"(?:(?P<coef>{_LITERAL})(?:\*?(?P<xa>x)(?:\^(?P<ea>\d+))?)?"
+    r"|(?P<xb>x)(?:\^(?P<eb>\d+))?)"
+)
+
+
 def as_rat(value: RatLike) -> Fraction:
-    """Coerce an int, str or Fraction to an exact rational; a bool is not one."""
+    """Coerce an int, str or Fraction to an exact rational; a bool is not one.
+
+    A string must be a signed coefficient literal: no decimals or exponents.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        compact = "".join(value.split())
+        if _RAT_RE.fullmatch(compact) is None:
+            raise PolyParseError(f"bad rational literal {value!r}")
         try:
-            return Fraction(value)
+            return Fraction(compact)
         except (ValueError, ZeroDivisionError) as exc:
+            # a zero denominator, or more digits than int() converts
             raise PolyParseError(f"bad rational literal {value!r}") from exc
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def _join_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Signed sum of nonzero ``(coef, monomial)`` terms; ``""`` is the constant monomial."""
+    parts: list[str] = []
+    for coef, mono in terms:
+        mag = -coef if coef < 0 else coef
+        if parts:
+            parts.append(" - " if coef < 0 else " + ")
+        elif coef < 0:
+            parts.append("-")
+        parts.append(str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}")
+    return "".join(parts) or "0"
 
 
 class Poly:
@@ -236,24 +267,12 @@ class Poly:
 
     def to_text(self) -> str:
         """Canonical text form, highest power first."""
-        if self.is_zero():
-            return "0"
-        parts: list[str] = []
-        for exp in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[exp]
-            if c == 0:
-                continue
-            mag = -c if c < 0 else c
-            if exp == 0:
-                body = str(mag)
-            else:
-                xpart = "x" if exp == 1 else f"x^{exp}"
-                body = xpart if mag == 1 else f"{mag}*{xpart}"
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f" - {body}" if c < 0 else f" + {body}")
-        return "".join(parts)
+        num, den = self.num, self.den
+        return _join_terms(
+            (Fraction(num[exp], den), "" if exp == 0 else "x" if exp == 1 else f"x^{exp}")
+            for exp in reversed(range(len(num)))
+            if num[exp]
+        )
 
     @classmethod
     def from_text(cls, text: str) -> "Poly":
@@ -357,13 +376,6 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
         while r and not r[-1]:
             r.pop()
     return r
-
-
-_TERM_RE = re.compile(
-    r"(?P<sign>[+-]?)"
-    r"(?:(?P<coef>\d+(?:/\d+)?)(?:\*?(?P<xa>x)(?:\^(?P<ea>\d+))?)?"
-    r"|(?P<xb>x)(?:\^(?P<eb>\d+))?)"
-)
 
 
 def lagrange(points: Iterable[tuple[RatLike, RatLike]]) -> Poly:

@@ -48,6 +48,12 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", path, "--lambda", "1", "--degree", "2"])
         assert code == 1
 
+    @pytest.mark.parametrize("weight", ["0.5", "1e3", "1_000"])
+    def test_weight_outside_literal_grammar(self, tmp_path, capsys, weight):
+        path = write(tmp_path, "op.json", {"a": "0", "r": "1"})
+        code, out, err = run(capsys, ["verify", path, "--lambda", weight])
+        assert (code, out, err) == (2, "", f"error: bad weight {weight!r}\n")
+
     def test_malformed_polynomial(self, tmp_path, capsys):
         path = write(tmp_path, "bad.json", {"a": "0", "r": "x^^2"})
         code, _, err = run(capsys, ["verify", path])
@@ -317,6 +323,14 @@ class TestWrongJsonTypes:
         assert code == 2
         assert "bad operator payload" in err
 
+    def test_exponent_literal(self, capsys, monkeypatch):
+        # an exponent is no part of the literal grammar, so the base point is
+        # refused before 10**200000 is ever built
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"a":"1e200000","r":"x"}'))
+        code, out, err = run(capsys, ["verify", "-"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: -: bad operator payload: ")
+
     def test_fractional_truncation_degree(self, capsys, monkeypatch):
         payload = {"N": 1.7, "images": ["x", "1/2*x^2"]}
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
@@ -376,7 +390,13 @@ class TestBadInputFiles:
             oserror = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), bad)
             assert err == f"error: cannot read {bad}: {oserror}\n"
         else:
-            assert err.startswith(f"error: {bad}: ") and err.count(bad) == 1
+            if case == "invalid-json":
+                label = "invalid JSON"
+            elif command == "act-word":
+                label = "bad word payload"
+            else:
+                label = "bad operator payload"
+            assert err.startswith(f"error: {bad}: {label}: ") and err.count(bad) == 1
 
 
 class TestSelftestCommand:

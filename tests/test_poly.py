@@ -12,6 +12,7 @@ from rbx.poly import (
     DuplicateAbscissa,
     Poly,
     PolyParseError,
+    as_rat,
     common_root,
     gcd,
     lagrange,
@@ -368,6 +369,27 @@ class TestRationalRoots:
         cofactor = Poly((lead, 1, 0, lead))
         assert common_root(linear(a) ** 2 * cofactor, linear(a) * cofactor.derive()) == a
         assert common_root(linear(a) ** 3 * Poly.constant(lead)) == a
+
+
+class TestRationalLiteral:
+    """``as_rat`` reads a string exactly as the polynomial grammar reads a coefficient."""
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("3", 3), ("-1/2", Fraction(-1, 2)), ("+3", 3), (" 1 / 2 ", Fraction(1, 2))],
+    )
+    def test_accepted(self, text, value):
+        assert as_rat(text) == value
+        assert Poly.from_text(text) == Poly.constant(value)
+
+    @pytest.mark.parametrize("bad", ["0.5", "1e3", "1_000", "1/0", "1" * 4301, "", "/2", "1/-2"])
+    def test_rejected(self, bad):
+        with pytest.raises(PolyParseError):
+            as_rat(bad)
+
+    @given(tall_rationals)
+    def test_str_round_trip(self, q):
+        assert as_rat(str(q)) == q
 
 
 def ref_poly_text(cs):
