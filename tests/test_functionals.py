@@ -80,6 +80,45 @@ def ref_satisfies_system(r, head, budget):
     return True
 
 
+ZERO_CONTEXT_CALLS = {
+    "FunctionalCoords": lambda r: FunctionalCoords(r, (Fraction(0),)),
+    "curve_coords": lambda r: curve_coords(r, 1, 3),
+    "curve_coords_symbolic": lambda r: curve_coords_symbolic(r, 3),
+    "coordinate_equation": lambda r: coordinate_equation(r, 0, 0),
+    "elimination_polynomial": lambda r: elimination_polynomial(r, 2),
+    "reduced_equation": lambda r: reduced_equation(r, 1, 1),
+    "vanishes_on_curve": lambda r: vanishes_on_curve(r, 1, 1),
+    "satisfies_system": lambda r: satisfies_system(r, (Fraction(0),)),
+    "recover_base_point": lambda r: recover_base_point(r, (Fraction(0),)),
+}
+
+PAIR_FUNCTIONS = [coordinate_equation, reduced_equation, vanishes_on_curve]
+
+
+class TestContextChecks:
+    @pytest.mark.parametrize("name", sorted(ZERO_CONTEXT_CALLS))
+    def test_zero_context_rejected(self, name):
+        with pytest.raises(ValueError, match="nonzero"):
+            ZERO_CONTEXT_CALLS[name](Poly.zero())
+
+    @pytest.mark.parametrize("fn", PAIR_FUNCTIONS, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("n,m", [(-1, 0), (0, -1), (2, -3)])
+    def test_negative_pair_index_rejected(self, fn, n, m):
+        with pytest.raises(ValueError, match="non-negative"):
+            fn(X, n, m)
+
+
+def ref_curve(rs, a, length):
+    """-(integral from 0 to a of r(t) t^i dt) for i < length, in Fractions."""
+    return [
+        -sum(rj * a ** (i + j + 1) / (i + j + 1) for j, rj in enumerate(rs))
+        for i in range(length)
+    ]
+
+
+tall_base_points = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64))
+
+
 class TestCoordsFromOperator:
     def test_curve_values(self):
         # constant terms of the images of (a=1, r=1) are -1/(i+1)
@@ -119,6 +158,21 @@ class TestCurveCoords:
         r = Poly((1, 0, 1))
         for i, entry in enumerate(curve_coords_symbolic(r, 5)):
             assert entry.degree == i + r.degree + 1
+
+    @settings(deadline=None)
+    @given(multipliers(max_deg=4), tall_base_points, st.integers(1, 6))
+    def test_matches_dense_integral(self, r, a, length):
+        rs = r.coeffs
+        c = ref_curve(rs, a, length)
+        fc = curve_coords(r, a, length)
+        assert fc.c == tuple(c)
+        # image of x^i is c_i + sum_j r_j x^(i+j+1) / (i+j+1)
+        for i, image in enumerate(operator_from_coords(fc, length - 1).images):
+            dense = [c[i]] + [Fraction(0)] * (i + len(rs))
+            for j, rj in enumerate(rs):
+                dense[i + j + 1] += rj / (i + j + 1)
+            assert image.degree == i + len(rs)
+            assert [image.coeff(e) for e in range(len(dense))] == dense
 
     def test_symbolic_specialises_to_values(self):
         rng = random.Random(8)
@@ -256,9 +310,12 @@ class TestReducedEquation:
         assert reduced == coordinate_equation(r, n, m).eval_at(coords)
 
     def test_vanishing_on_curve(self):
-        for r in (X, Poly((1, 0, 1))):
-            for n in range(4):
-                for m in range(4):
+        rng = random.Random(43)
+        for k in range(5):
+            low = tuple(random_rat(rng) for _ in range(k))
+            r = Poly(low + (Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)),))
+            for n in range(7):
+                for m in range(7):
                     assert vanishes_on_curve(r, n, m)
 
 
