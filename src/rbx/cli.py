@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -163,11 +164,18 @@ def _parse_context(values: dict[str, str]) -> Poly:
     return r
 
 
+def integer(text: str) -> int:
+    """An optionally signed run of ASCII digits; argparse names it in its errors."""
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise ValueError(f"bad integer literal {text!r}")
+    return int(text)
+
+
 def _need_int(values: dict[str, str], key: str) -> int:
     if key not in values:
         raise InputError(f"missing {key}=<int>")
     try:
-        return int(values[key])
+        return integer(values[key])
     except ValueError as exc:
         raise InputError(f"bad integer for {key}: {values[key]!r}") from exc
 
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the Rota-Baxter identity on an operator file")
     p.add_argument("opfile", help="operator JSON (moduli point or truncation); - for stdin")
     p.add_argument("--lambda", dest="weight", default="0", help="identity weight (rational)")
-    p.add_argument("--degree", type=int, default=8, help="check all monomial pairs up to this degree")
+    p.add_argument("--degree", type=integer, default=8, help="check all monomial pairs up to this degree")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("canon", help="canonicalize a truncated operator to its moduli point")
@@ -293,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("functional", help="coordinate system, elimination and membership checks")
     p.add_argument("subcommand", choices=["system", "eliminate", "reduce", "check"])
     p.add_argument("params", nargs="*", help="key=value parameters: r=<poly> n=<int> m=<int> t=<int>")
-    p.add_argument("--budget", type=int, default=8, help="membership check degree budget")
+    p.add_argument("--budget", type=integer, default=8, help="membership check degree budget")
     p.set_defaults(func=_cmd_functional)
 
     p = sub.add_parser("act", help="apply a word of generators to an operator or tuple")
@@ -314,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("selftest", help="run the full acceptance suite")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=integer, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

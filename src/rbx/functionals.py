@@ -7,12 +7,13 @@ coordinates c_i = c(x^i) that identity becomes, for every pair (n, m),
     c_n c_m + sum_i (1/(i+n+1) + 1/(i+m+1)) r_i c_(i+n+m+1) = 0.
 
 For a multiplier of degree k every coordinate c_t with t > k can be solved
-for in lower coordinates (``elimination_polynomial``), reducing any instance
-of the system to a polynomial in c_0 .. c_k (``reduced_equation``).  The
-curve of functionals realised by an actual integration base point a is
-``curve_coords`` and its symbolic form in a is ``curve_coords_symbolic``;
-``satisfies_system`` / ``recover_base_point`` decide, at a finite budget,
-whether a coordinate head solves the system resp. lies on the curve.
+for in lower coordinates (``elimination_polynomial``); ``_extend`` solves
+them in turn over a head c_0 .. c_k in any ring: ``MPoly`` variables for
+``reduced_equation``, rationals for ``satisfies_system`` (membership at a
+finite budget) and the symbolic curve in Q[a] for ``vanishes_on_curve``.
+The curve of functionals realised by an actual integration base point a is
+``curve_coords``, its symbolic form in a is ``curve_coords_symbolic``, and
+``recover_base_point`` decides whether a head lies on the curve.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ class IndexTooSmall(ValueError):
     """Coordinate index does not exceed the multiplier degree; nothing to eliminate."""
 
 
+def _context(r: Poly, n: int = 0, m: int = 0) -> tuple[tuple[Fraction, ...], int]:
+    """The multiplier coefficients and degree, once r is nonzero and n, m are non-negative."""
+    if r.is_zero():
+        raise ValueError("context multiplier must be nonzero")
+    if n < 0 or m < 0:
+        raise ValueError("pair indices must be non-negative")
+    return r.coeffs, r.degree
+
+
 @dataclass(frozen=True)
 class FunctionalCoords:
     """Coordinates c_i = c(x^i) of a linear functional, with its context multiplier."""
@@ -38,8 +48,7 @@ class FunctionalCoords:
     c: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if self.r.is_zero():
-            raise ValueError("functional coordinates need a nonzero context multiplier")
+        _context(self.r)
         object.__setattr__(self, "c", tuple(as_rat(v) for v in self.c))
         if not self.c:
             raise ValueError("at least one coordinate is required")
@@ -65,17 +74,12 @@ def coords_from_operator(op: TruncOp) -> FunctionalCoords:
 
 def curve_coords(r: Poly, a: RatLike, length: int) -> FunctionalCoords:
     """The functional realised by integration base point a: c_i = -I(r*x^i)(a)."""
-    a = as_rat(a)
-    return FunctionalCoords(
-        r,
-        tuple(-(r * Poly.monomial(i)).integrate_at(0)(a) for i in range(length)),
-    )
+    return FunctionalCoords(r, tuple(entry(a) for entry in curve_coords_symbolic(r, length)))
 
 
 def curve_coords_symbolic(r: Poly, length: int) -> list[Poly]:
     """Entry i is -I(r*x^i) read as a polynomial in the base point; degree i + deg r + 1."""
-    if r.is_zero():
-        raise ValueError("context multiplier must be nonzero")
+    _context(r)
     return [-(r * Poly.monomial(i)).integrate_at(0) for i in range(length)]
 
 
@@ -95,8 +99,8 @@ def _equation(rs: Sequence[Fraction], c, n: int, m: int, top: bool = True):
     """c_n c_m + sum_i (1/(i+n+1) + 1/(i+m+1)) r_i c_(i+n+m+1), coordinates read as c(index).
 
     ``rs`` are the multiplier coefficients.  Works in any ring the
-    coordinates live in: rationals, or ``MPoly`` expressions.  With
-    ``top=False`` the i = deg r term, the highest coordinate, is left out.
+    coordinates live in (rationals, ``MPoly``, ``Poly`` in the base point).
+    With ``top=False`` the i = deg r term, the highest coordinate, is left out.
     """
     value = c(n) * c(m)
     for i in range(len(rs) if top else len(rs) - 1):
@@ -116,17 +120,17 @@ def _step(rs: Sequence[Fraction], c, t: int):
     return _equation(rs, c, t - 1 - k, 0, top=False) * (-1 / divisor)
 
 
-def _check_pair(r: Poly, n: int, m: int) -> None:
-    if r.is_zero():
-        raise ValueError("context multiplier must be nonzero")
-    if n < 0 or m < 0:
-        raise ValueError("pair indices must be non-negative")
+def _extend(rs: Sequence[Fraction], head: list, top: int) -> list:
+    """Append c_(k+1) .. c_top to the head c_0 .. c_k, each solved by ``_step``."""
+    for t in range(len(rs), top + 1):
+        head.append(_step(rs, head.__getitem__, t))
+    return head
 
 
 def coordinate_equation(r: Poly, n: int, m: int) -> MPoly:
     """The quadratic coordinate equation for the pair (n, m), as a polynomial in the c_i."""
-    _check_pair(r, n, m)
-    return _equation(r.coeffs, MPoly.variable, n, m)
+    rs, _ = _context(r, n, m)
+    return _equation(rs, MPoly.variable, n, m)
 
 
 def elimination_polynomial(r: Poly, t: int) -> MPoly:
@@ -134,12 +138,10 @@ def elimination_polynomial(r: Poly, t: int) -> MPoly:
 
     Solves the (n = t-1-k, m = 0) instance of the coordinate system for c_t.
     """
-    k = r.degree
-    if r.is_zero():
-        raise ValueError("context multiplier must be nonzero")
+    rs, k = _context(r)
     if t <= k:
         raise IndexTooSmall(f"coordinate {t} is free; only indices above {k} are eliminable")
-    return _step(r.coeffs, MPoly.variable, t)
+    return _step(rs, MPoly.variable, t)
 
 
 def reduced_equation(r: Poly, n: int, m: int) -> MPoly:
@@ -148,27 +150,23 @@ def reduced_equation(r: Poly, n: int, m: int) -> MPoly:
     Writes c_(k+1) .. c_(n+m+k+1) in c_0 .. c_k, lowest first, each by one
     elimination step over the ones before it, then evaluates the equation.
     """
-    _check_pair(r, n, m)
+    rs, k = _context(r, n, m)
     if min(n, m) == 0:  # the step for c_(n+m+k+1) solves this very equation
         return MPoly.zero()
-    rs, k = r.coeffs, r.degree
-    coords = [MPoly.variable(i) for i in range(k + 1)]
-    for t in range(k + 1, n + m + k + 2):
-        coords.append(_step(rs, coords.__getitem__, t))
+    coords = _extend(rs, [MPoly.variable(i) for i in range(k + 1)], n + m + k + 1)
     return _equation(rs, coords.__getitem__, n, m)
 
 
 def vanishes_on_curve(r: Poly, n: int, m: int) -> bool:
     """True iff the reduced (n, m) equation is identically zero along the curve.
 
-    Substitutes the symbolic curve coordinates and checks for the zero
-    polynomial in the base-point variable.
+    Extends the symbolic curve head c_0 .. c_k in Q[a] and checks for the zero
+    polynomial in the base point.  Substituting the curve commutes with the
+    elimination steps, so no reduced ``MPoly`` equation is built.
     """
-    g = reduced_equation(r, n, m)
-    if g.is_zero():
-        return True
-    entries = curve_coords_symbolic(r, r.degree + 1)
-    return g.eval_univariate(dict(enumerate(entries))).is_zero()
+    rs, k = _context(r, n, m)
+    coords = _extend(rs, curve_coords_symbolic(r, k + 1), n + m + k + 1)
+    return not _equation(rs, coords.__getitem__, n, m)
 
 
 def satisfies_system(r: Poly, head: Sequence[RatLike], budget: int = 8) -> bool:
@@ -178,17 +176,12 @@ def satisfies_system(r: Poly, head: Sequence[RatLike], budget: int = 8) -> bool:
     membership holds iff every coordinate equation with n, m <= budget is
     satisfied by the extension.
     """
-    k = r.degree
-    if r.is_zero():
-        raise ValueError("context multiplier must be nonzero")
+    rs, k = _context(r)
     if len(head) != k + 1:
         raise ValueError(f"head must have length {k + 1}, got {len(head)}")
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    rs = r.coeffs
-    coords = [as_rat(v) for v in head]
-    for t in range(k + 1, 2 * budget + k + 2):
-        coords.append(_step(rs, coords.__getitem__, t))
+    coords = _extend(rs, [as_rat(v) for v in head], 2 * budget + k + 1)
     return not any(
         _equation(rs, coords.__getitem__, n, m)
         for n in range(budget + 1)
@@ -204,24 +197,18 @@ def recover_base_point(r: Poly, head: Sequence[RatLike]) -> "Fraction | None":
     linear factor.  The first deg r + 1 entries already pin at most one
     point, as in ``operator_to_point``.
     """
-    k = r.degree
-    if r.is_zero():
-        raise ValueError("context multiplier must be nonzero")
+    _, k = _context(r)
     if len(head) < k + 1:
         raise ValueError(f"head must have at least {k + 1} entries, got {len(head)}")
-    values = [as_rat(v) for v in head]
-    entries = curve_coords_symbolic(r, len(values))
-    return common_root(*(e - Poly.constant(v) for e, v in zip(entries, values)))
+    entries = curve_coords_symbolic(r, len(head))
+    return common_root(*(e - Poly.constant(v) for e, v in zip(entries, head)))
 
 
 def operator_from_coords(fc: FunctionalCoords, n: int) -> TruncOp:
-    """Rebuild the truncated operator: image of x^i is I(r*x^i) + c_i."""
+    """Rebuild the truncated operator: image of x^i is c_i minus symbolic curve entry i."""
     if fc.length < n + 1:
         raise TruncationTooSmall(
             f"need {n + 1} coordinates to truncate at degree {n}, have {fc.length}"
         )
-    images = tuple(
-        (fc.r * Poly.monomial(i)).integrate_at(0) + Poly.constant(fc.c[i])
-        for i in range(n + 1)
-    )
-    return TruncOp(images)
+    entries = curve_coords_symbolic(fc.r, n + 1)
+    return TruncOp(tuple(Poly.constant(c) - entry for c, entry in zip(fc.c, entries)))

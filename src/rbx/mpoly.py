@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .poly import Poly, RatLike, _join_terms, as_rat
+from .poly import RatLike, _join_terms, as_rat
 
 Key = tuple[tuple[int, int], ...]
 
@@ -150,18 +150,6 @@ class MPoly:
     __rmul__ = __mul__
 
     # -- evaluation --------------------------------------------------------
-
-    def eval_univariate(self, assign: Mapping[int, Poly]) -> Poly:
-        """Substitute a univariate polynomial for every variable."""
-        acc = Poly.zero()
-        for key, coef in self.terms.items():
-            part = Poly.constant(coef)
-            for var, exp in key:
-                if var not in assign:
-                    raise UnassignedVariable(f"no assignment for variable c{var}")
-                part = part * assign[var] ** exp
-            acc = acc + part
-        return acc
 
     def eval_at(self, assign: Mapping[int, RatLike]) -> Fraction:
         """Evaluate at a full rational assignment."""

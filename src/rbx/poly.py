@@ -35,13 +35,14 @@ class DuplicateAbscissa(ValueError):
     """Interpolation nodes share an x-value."""
 
 
-# the one rational literal: unsigned in a polynomial term, signed in as_rat
-_LITERAL = r"\d+(?:/\d+)?"
+# the one rational literal: unsigned in a polynomial term, signed in as_rat;
+# ASCII digits only, since \d also matches every other Unicode decimal digit
+_LITERAL = r"[0-9]+(?:/[0-9]+)?"
 _RAT_RE = re.compile(rf"[+-]?{_LITERAL}")
 _TERM_RE = re.compile(
     r"(?P<sign>[+-]?)"
-    rf"(?:(?P<coef>{_LITERAL})(?:\*?(?P<xa>x)(?:\^(?P<ea>\d+))?)?"
-    r"|(?P<xb>x)(?:\^(?P<eb>\d+))?)"
+    rf"(?:(?P<coef>{_LITERAL})(?:\*?(?P<xa>x)(?:\^(?P<ea>[0-9]+))?)?"
+    r"|(?P<xb>x)(?:\^(?P<eb>[0-9]+))?)"
 )
 
 

@@ -48,11 +48,20 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", path, "--lambda", "1", "--degree", "2"])
         assert code == 1
 
-    @pytest.mark.parametrize("weight", ["0.5", "1e3", "1_000"])
+    @pytest.mark.parametrize("weight", ["0.5", "1e3", "1_000", "\u0663"])
     def test_weight_outside_literal_grammar(self, tmp_path, capsys, weight):
         path = write(tmp_path, "op.json", {"a": "0", "r": "1"})
         code, out, err = run(capsys, ["verify", path, "--lambda", weight])
         assert (code, out, err) == (2, "", f"error: bad weight {weight!r}\n")
+
+    @pytest.mark.parametrize(
+        "payload", [{"a": "\u0663/\u0664", "r": "x"}, {"a": "0", "r": "\u0663x^\u0662"}]
+    )
+    def test_non_ascii_digits_in_payload(self, tmp_path, capsys, payload):
+        path = write(tmp_path, "op.json", payload)
+        code, out, err = run(capsys, ["verify", path])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: bad operator payload: ")
 
     def test_malformed_polynomial(self, tmp_path, capsys):
         path = write(tmp_path, "bad.json", {"a": "0", "r": "x^^2"})
@@ -153,6 +162,28 @@ class TestFunctional:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "budget" in err
+
+    @pytest.mark.parametrize("key,value", [("n", "1_0"), ("n", "\u0663"), ("m", " 1"), ("n", "0x1")])
+    def test_integer_outside_ascii_grammar(self, capsys, key, value):
+        params = {"n": "1", "m": "0", key: value}
+        argv = ["functional", "system", "r=1"] + [f"{k}={v}" for k, v in params.items()]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: bad integer for {key}: {value!r}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "op.json", "--degree", "1_0"],
+            ["functional", "check", "r=x", "--budget", "\u0663"],
+            ["selftest", "--seed", "1_0"],
+        ],
+    )
+    def test_integer_flag_outside_ascii_grammar(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "invalid integer value" in err
 
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, ["functional", "eliminate", "r=1"])

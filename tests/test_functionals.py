@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from rbx.functionals import (
     FunctionalCoords,
     IndexTooSmall,
+    _equation,
+    _extend,
     coordinate_equation,
     coords_from_operator,
     curve_coords,
@@ -21,7 +23,7 @@ from rbx.functionals import (
     satisfies_system,
     vanishes_on_curve,
 )
-from rbx.mpoly import MPoly
+from rbx.mpoly import DegreeCapExceeded, MPoly
 from rbx.operators import AnalyticOp, TruncationTooSmall, is_rb_upto
 from rbx.poly import Poly
 
@@ -308,6 +310,26 @@ class TestReducedEquation:
         coords = extend(r, head, n + m + r.degree + 2)
         reduced = reduced_equation(r, n, m).eval_at(dict(enumerate(head)))
         assert reduced == coordinate_equation(r, n, m).eval_at(coords)
+
+    @settings(deadline=None, max_examples=60)
+    @given(multipliers(max_deg=2), st.data(), st.integers(0, 3), st.integers(0, 3))
+    def test_extension_commutes_with_evaluation(self, r, data, n, m):
+        # _extend and _equation over heads in Q[a] agree, point by point,
+        # with the reduced MPoly equation evaluated at the head's values
+        rs, k = r.coeffs, r.degree
+        poly_heads = st.lists(small_rats, max_size=3).map(lambda cs: Poly(tuple(cs)))
+        head = data.draw(st.lists(poly_heads, min_size=k + 1, max_size=k + 1))
+        points = data.draw(st.lists(small_rats, min_size=4, max_size=4))
+        value = _equation(rs, _extend(rs, head, n + m + k + 1).__getitem__, n, m)
+        reduced = reduced_equation(r, n, m)
+        for a in points:
+            assert value(a) == reduced.eval_at({i: h(a) for i, h in enumerate(head)})
+
+    def test_vanishing_beyond_the_degree_cap(self):
+        # the curve decision never builds the reduced MPoly equation
+        assert vanishes_on_curve(ONE, 40, 40)
+        with pytest.raises(DegreeCapExceeded):
+            reduced_equation(ONE, 40, 40)
 
     def test_vanishing_on_curve(self):
         rng = random.Random(43)

@@ -1,4 +1,4 @@
-"""Sparse multivariate arithmetic, the degree cap, specialisation and text form."""
+"""Sparse multivariate arithmetic, the degree cap, evaluation and text form."""
 
 from fractions import Fraction
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rbx.mpoly import DegreeCapExceeded, MPoly, UnassignedVariable
-from rbx.poly import Poly
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -59,35 +58,17 @@ class TestSubstitution:
             MPoly.variable(0, 33) * MPoly.variable(1, 32)
 
 
-class TestUnivariateSpecialisation:
-    def test_single_variable(self):
-        assert c0.eval_univariate({0: Poly((0, -1))}) == Poly((0, -1))
-
+class TestEvaluation:
     def test_curve_identity(self):
-        # 9*c1^2 + 8*c0^3 with c0 -> -a^2/2, c1 -> -a^3/3 expands to a^6 - a^6
+        # 9*c1^2 + 8*c0^3 vanishes at c0 = -a^2/2, c1 = -a^3/3: a^6 - a^6
         p = MPoly.variable(1, 2) * 9 + MPoly.variable(0, 3) * 8
-        assign = {
-            0: Poly.monomial(2, Fraction(-1, 2)),
-            1: Poly.monomial(3, Fraction(-1, 3)),
-        }
-        assert p.eval_univariate(assign).is_zero()
-
-    def test_constant(self):
-        assert MPoly.constant(1).eval_univariate({}) == Poly.one()
+        for a in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-7, 3)):
+            assert p.eval_at({0: -a**2 / 2, 1: -a**3 / 3}) == 0
+        assert p.eval_at({0: Fraction(-1, 2), 1: Fraction(1, 2)}) == Fraction(5, 4)
 
     def test_unassigned_variable(self):
         with pytest.raises(UnassignedVariable):
-            (c0 + c1).eval_univariate({0: Poly.one()})
-
-    @given(mpolys(), mpolys())
-    def test_specialisation_is_a_homomorphism(self, p, q):
-        assign = {v: Poly((v, 1)) for v in p.variables() | q.variables()}
-        assert (p + q).eval_univariate(assign) == p.eval_univariate(
-            assign
-        ) + q.eval_univariate(assign)
-        assert (p * q).eval_univariate(assign) == p.eval_univariate(
-            assign
-        ) * q.eval_univariate(assign)
+            (c0 + c1).eval_at({0: 1})
 
 
 def ref_to_text(p):

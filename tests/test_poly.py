@@ -382,7 +382,9 @@ class TestRationalLiteral:
         assert as_rat(text) == value
         assert Poly.from_text(text) == Poly.constant(value)
 
-    @pytest.mark.parametrize("bad", ["0.5", "1e3", "1_000", "1/0", "1" * 4301, "", "/2", "1/-2"])
+    @pytest.mark.parametrize(
+        "bad", ["0.5", "1e3", "1_000", "1/0", "1" * 4301, "", "/2", "1/-2", "\u0663/\u0664"]
+    )
     def test_rejected(self, bad):
         with pytest.raises(PolyParseError):
             as_rat(bad)
@@ -440,7 +442,9 @@ class TestTextGrammar:
         assert Poly.from_text("0") == Poly.zero()
         assert Poly.zero().to_text() == "0"
 
-    @pytest.mark.parametrize("bad", ["", "x^", "3*", "1//2", "y", "2/0*x", "++", "1~2"])
+    @pytest.mark.parametrize(
+        "bad", ["", "x^", "3*", "1//2", "y", "2/0*x", "++", "1~2", "\u0663x^\u0662", "x^\u0662"]
+    )
     def test_malformed(self, bad):
         with pytest.raises(PolyParseError):
             Poly.from_text(bad)
