@@ -8,8 +8,13 @@ need no replay, and no public solver calls another.  The staging device is
 :class:`DiagonalTuple`: an operator tuple whose multipliers hit prescribed
 nonzero values on a diagonal evaluation pattern (r_i(b_j) = c_i when i = j,
 else 0), which makes per-member fiber moves independent of each other.
+A tuple word diagonalises both tuples, bridges the source's diagonal tuple
+through an auxiliary pattern onto the destination's own pattern, finishes
+with one fiber move per member there and undoes the destination's
+diagonalisation.
 
-Base points are always scanned deterministically through 0, 1, 2, ... so a
+Points are always scanned deterministically, evaluation points through
+0, 1, 2, ... and the squared-shear point through 0, 1, -1, 2, -2, ..., so a
 fixed input yields a fixed word.
 """
 
@@ -256,25 +261,6 @@ def bridge_tuple(
     return tuple(word), result
 
 
-def _to_canonical_pattern(ops: Sequence[AnalyticOp]) -> tuple[Word, DiagonalTuple]:
-    """Carry an independent tuple into the pattern (1..m | 1..1) via two bridges."""
-    m = len(ops)
-    points = select_basepoints([op.r for op in ops])
-    word1, diag = diagonalize_tuple(ops, points)
-    canonical = [Fraction(i) for i in range(1, m + 1)]
-    taken = set(diag.base_points) | set(canonical)
-    aux: list[Fraction] = []
-    t = 0
-    while len(aux) < m:
-        b = Fraction(t)
-        if b not in taken:
-            aux.append(b)
-        t += 1
-    word2, diag = bridge_tuple(diag, aux, [Fraction(1)] * m)
-    word3, diag = bridge_tuple(diag, canonical, [Fraction(1)] * m)
-    return word1 + word2 + word3, diag
-
-
 def _between(src: Sequence[AnalyticOp], dst: Sequence[AnalyticOp]) -> Word:
     """Unverified :func:`solve_tuple_independent`: the word, not replayed."""
     m = len(src)
@@ -283,15 +269,19 @@ def _between(src: Sequence[AnalyticOp], dst: Sequence[AnalyticOp]) -> Word:
     _shared_base(list(src) + list(dst))
     if not _is_independent(src) or not _is_independent(dst):
         raise LinearlyDependent("both tuples must be linearly independent")
-    word_src, diag_src = _to_canonical_pattern(src)
-    word_dst, diag_dst = _to_canonical_pattern(dst)
+    word_src, diag = diagonalize_tuple(src, select_basepoints([op.r for op in src]))
+    word_dst, diag_dst = diagonalize_tuple(dst, select_basepoints([op.r for op in dst]))
+    taken = set(diag.base_points) | set(diag_dst.base_points)
+    aux = [Fraction(t) for t in range(3 * m) if t not in taken][:m]
+    word_aux, diag = bridge_tuple(diag, aux, [Fraction(1)] * m)
+    word_onto, diag = bridge_tuple(diag, diag_dst.base_points, diag_dst.values)
     within: list[Generator] = []
-    cur = list(diag_src.ops)
+    cur = list(diag.ops)
     for k in range(m):
-        gen = fiber_move(cur[k], diag_dst.ops[k], diag_src.base_points[k])
+        gen = fiber_move(cur[k], diag_dst.ops[k], diag.base_points[k])
         within.append(gen)
         cur = [gen.apply(op) for op in cur]
-    word = word_src + tuple(within) + inverse_word(word_dst)
+    word = word_src + word_aux + word_onto + tuple(within) + inverse_word(word_dst)
     _verify(len(word) <= 10 * m * m + 20 * m, "independent-tuple word exceeds its length cap")
     return word
 
@@ -301,9 +291,12 @@ def solve_tuple_independent(
 ) -> Word:
     """Word of shears carrying one independent tuple to another, memberwise.
 
-    Both tuples are staged onto the canonical pattern (1..m | 1..1); the
-    leftover mismatch is fixed by per-member fiber moves inside the pattern,
-    and the destination staging is undone by its inverse word.
+    Both tuples are diagonalised.  Two bridges carry the source's diagonal
+    tuple through an auxiliary pattern (the first m non-negative integers
+    that neither pattern uses, every value 1) onto the destination's points
+    and values; m fiber moves there match the members, and the destination's
+    diagonalisation is undone by its inverse word.  The word has at most
+    m(m-1) generators per diagonalisation plus 3m.
     """
     word = _between(src, dst)
     _verify(apply_word_tuple(word, src) == list(dst), "independent-tuple word misses its target")
@@ -325,30 +318,20 @@ def _independent(ops: Sequence[AnalyticOp]) -> tuple[Word, list[AnalyticOp]]:
     a = ops[0].a
     word, head = _independent(ops[: m - 1])
     canonical = [AnalyticOp(a, Poly.monomial(i)) for i in range(m - 1)]
-    segment = _between(head, canonical)
-    cur = canonical + [apply_word(word + segment, ops[-1])]
-    word += segment
+    word += _between(head, canonical)
+    cur = canonical + [apply_word(word, ops[-1])]
     if not _is_independent(cur):
+        # r lies in the span of 1, x, ..., x^(m-2).  The squared shear along
+        # s = x^m - b^m sends x^i to x^i + b^(2i)*s and r to r + r(b)^2*s, so
+        # the images are independent exactly when r(b)^2 != r(b^2).  The
+        # difference r(x)^2 - r(x^2) has degree at most 2m-4, so one of the
+        # first 2m-3 scan points works unless it is the zero polynomial; by
+        # comparing the top two terms that needs r = x^j, a duplicate of a
+        # canonical member.  A broken invariant reaches the rank check below.
         r = cur[-1].r
-        spike = Poly.monomial(m)
-        if r(0) not in (0, 1):
-            gen = ShearSquared(0, spike)
-        elif r(1) not in (0, 1):
-            gen = ShearSquared(1, spike - Poly.one())
-        elif r(-1) ** 2 != r(1):
-            gen = ShearSquared(-1, spike - Poly.constant((-1) ** m))
-        else:
-            # All three probes degenerate; then some coefficient is outside
-            # {0, 1} (an all-0/1 multiplier would have hit the probe at 1 or
-            # duplicated a canonical member).  Swap it into the constant slot
-            # and spike at 0.
-            p = next(i for i in range(m - 1) if r.coeff(i) not in (0, 1))
-            swapped = list(canonical)
-            swapped[0], swapped[p] = swapped[p], swapped[0]
-            segment = _between(canonical, swapped)
-            word += segment
-            cur = swapped + [apply_word(segment, cur[-1])]
-            gen = ShearSquared(0, spike)
+        scan = [0] + [sign * t for t in range(1, m - 1) for sign in (1, -1)]
+        b = next((b for b in scan if r(b) ** 2 != r(b * b)), scan[-1])
+        gen = ShearSquared(b, Poly.monomial(m) - Poly.constant(b**m))
         word += (gen,)
         cur = [gen.apply(op) for op in cur]
     _verify(_is_independent(cur), "tuple is still dependent after the squared shear")
@@ -360,8 +343,9 @@ def make_independent(ops: Sequence[AnalyticOp]) -> Word:
 
     Recursively canonicalises the first m-1 members to the monomial
     multipliers 1, x, ..., x^(m-2); a dependent last member then lies in
-    their span and a single squared shear (at 0, 1 or -1, after at most one
-    coefficient swap) breaks the dependence.  The resulting rank is checked.
+    their span and a single squared shear along x^m - b^m breaks the
+    dependence, at the first b of the scan 0, 1, -1, 2, -2, ... with
+    r(b)^2 != r(b^2).  The resulting rank is checked.
     """
     word, images = _independent(ops)
     _verify(apply_word_tuple(word, ops) == images, "independence word misses its images")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rbx import functionals
 from rbx.functionals import (
     FunctionalCoords,
     IndexTooSmall,
@@ -339,6 +340,15 @@ class TestReducedEquation:
             for n in range(7):
                 for m in range(7):
                     assert vanishes_on_curve(r, n, m)
+
+    def test_wrong_extension_is_detected(self, monkeypatch):
+        # the curve solves the system, so a decision that always answers True
+        # passes the tests above; with every solved coordinate doubled the
+        # extended curve head misses the equation
+        step = functionals._step
+        monkeypatch.setattr(functionals, "_step", lambda rs, c, t: step(rs, c, t) * 2)
+        assert not vanishes_on_curve(ONE_PLUS_X, 1, 1)
+        assert not vanishes_on_curve(Poly.monomial(2), 2, 3)
 
 
 class TestMembership:

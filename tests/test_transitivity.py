@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rbx import linalg, selftest
-from rbx.actions import Dilate, Shear, Translate, apply_word, apply_word_tuple
+from rbx.actions import Dilate, Shear, ShearSquared, Translate, apply_word, apply_word_tuple
 from rbx.operators import AnalyticOp
 from rbx.poly import Poly
 from rbx.transitivity import (
@@ -274,6 +274,8 @@ class TestSolveTupleIndependent:
         assert apply_word_tuple(word, [AnalyticOp(0, Poly.one())]) == [
             AnalyticOp(0, Poly((1, 1)))
         ]
+        # two bridges and one fiber move; a single member needs no diagonalisation
+        assert len(word) == 3
 
     def test_shifted_constants(self):
         src = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.x())]
@@ -289,7 +291,8 @@ class TestSolveTupleIndependent:
             dst = random_independent(rng, 3, a)
             word = solve_tuple_independent(src, dst)
             assert apply_word_tuple(word, src) == dst
-            assert len(word) <= 10 * 9 + 20 * 3
+            # m(m-1) per diagonalisation, m per bridge and m fiber moves
+            assert len(word) <= 2 * 9 + 3
 
     def test_dependent_rejected(self):
         pair = [AnalyticOp(0, Poly.x()), AnalyticOp(0, Poly((0, 2)))]
@@ -339,6 +342,7 @@ class TestMakeIndependent:
         ]
         word = make_independent(ops)
         assert _rank(apply_word_tuple(word, ops)) == 4
+        assert _scan_point(word, ops) == 1
 
     def test_probes_at_zero_and_one_degenerate(self):
         # last member 2x - x^2 evaluates to 0 at 0 and 1 at 1, so only the
@@ -351,11 +355,11 @@ class TestMakeIndependent:
         ]
         word = make_independent(ops)
         assert _rank(apply_word_tuple(word, ops)) == 4
+        assert _scan_point(word, ops) == -1
 
-    def test_all_probes_degenerate_swap_fallback(self):
-        # last member 3x - 2x^3: values 0, 1 at the points 0, 1 and the
-        # squared value at -1 equals the value at 1, so a coefficient swap
-        # must precede the spike
+    def test_scan_passes_minus_one(self):
+        # last member 3x - 2x^3: r(b)^2 = r(b^2) at 0, 1 and -1 (r(b) is 0, 1
+        # and -1, r(b^2) is 0, 1 and 1), so the scan goes on to 2
         ops = [
             AnalyticOp(0, Poly.one()),
             AnalyticOp(0, Poly.x()),
@@ -365,6 +369,8 @@ class TestMakeIndependent:
         ]
         word = make_independent(ops)
         assert _rank(apply_word_tuple(word, ops)) == 5
+        assert sum(isinstance(gen, ShearSquared) for gen in word) == 1
+        assert _scan_point(word, ops) == 2
 
     def test_random_dependent_tuples(self):
         rng = random.Random(89)
@@ -380,6 +386,10 @@ class TestMakeIndependent:
                     continue
                 word = make_independent(ops)
                 assert _rank(apply_word_tuple(word, ops)) == m
+                if _rank(ops[:-1]) == m - 1:
+                    # an independent head adds no squared shear of its own
+                    assert sum(isinstance(gen, ShearSquared) for gen in word) == 1
+                _scan_point(word, ops)
 
 
 class TestSolveDistinct:
@@ -426,6 +436,25 @@ def test_distinct_words_are_checked_once(monkeypatch):
     assert selftest.run_criterion(10).passed
     assert len(requests) == 30
     assert all(count <= bound for count, bound in requests), requests
+
+
+SCAN = [0, 1, -1, 2, -2, 3, -3, 4, -4]
+
+
+def _scan_point(word, ops):
+    """The b of the squared shear ending ``word``: the first scan point that works.
+
+    Replaying the word before it on the last member gives the r it was
+    chosen for; every earlier scan point must have r(b)^2 = r(b^2).
+    """
+    *prefix, gen = word
+    m = len(ops)
+    assert isinstance(gen, ShearSquared)
+    assert gen.s == Poly.monomial(m) - Poly.constant(gen.b**m)
+    r = apply_word(prefix, ops[-1]).r
+    assert r(gen.b) ** 2 != r(gen.b**2)
+    assert all(r(b) ** 2 == r(b * b) for b in SCAN[: SCAN.index(gen.b)])
+    return gen.b
 
 
 def _rank(ops):
