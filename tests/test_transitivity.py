@@ -414,6 +414,54 @@ class TestSolveDistinct:
             assert apply_word_tuple(word, src) == dst
 
 
+class TestWordLength:
+    """Words are short by construction: one shear per pivot row, no no-op moves."""
+
+    def test_one_shear_per_point_in_diagonalisation(self):
+        rng = random.Random(101)
+        for m in (2, 3, 4, 5):
+            for _ in range(4):
+                ops = random_independent(rng, m, random_rat(rng))
+                word, diag = diagonalize_tuple(ops, select_basepoints([op.r for op in ops]))
+                assert apply_word_tuple(word, ops) == list(diag.ops)
+                points = [gen.b for gen in word]
+                assert len(points) == len(set(points)) <= m
+
+    def test_no_zero_shears(self):
+        rng = random.Random(103)
+        a = Fraction(-2)
+        constants = [AnalyticOp(a, Poly.one()), AnalyticOp(a, Poly.constant(2))]
+        golden_src = [AnalyticOp(a, r) for r in (Poly((1, 1)), Poly((2, 2)), Poly.monomial(2))]
+        golden_dst = [AnalyticOp(a, r) for r in (Poly.one(), Poly.x(), Poly((-1, 0, Fraction(5, 2))))]
+        words = [
+            make_independent(constants),
+            solve_distinct_tuple(constants, constants),
+            solve_distinct_tuple(golden_src, golden_dst),
+            solve_tuple_independent([constants[0]], [constants[0]]),
+        ]
+        for m in (2, 3, 4):
+            src = random_independent(rng, m, a)
+            dst = random_independent(rng, m, a)
+            words.append(solve_tuple_independent(src, dst))
+            dependent = _random_distinct(rng, m, a)
+            dependent[-1] = AnalyticOp(a, dependent[0].r * 3)
+            words.append(make_independent(dependent))
+            words.append(solve_distinct_tuple(dependent, _random_distinct(rng, m, a)))
+        for word in words:
+            assert not [gen for gen in word if isinstance(gen, Shear) and not gen.s]
+
+    def test_independent_words_within_5m(self):
+        rng = random.Random(107)
+        for m in range(1, 7):
+            for _ in range(3):
+                a = random_rat(rng)
+                src = random_independent(rng, m, a)
+                dst = random_independent(rng, m, a)
+                word = solve_tuple_independent(src, dst)
+                assert apply_word_tuple(word, src) == dst
+                assert len(word) <= 5 * m
+
+
 def test_distinct_words_are_checked_once(monkeypatch):
     # one build pass and one checking replay: at most 2*m*len(word)
     # generator applications per request, on the criterion-10 inputs
