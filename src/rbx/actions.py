@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .operators import AnalyticOp
-from .poly import Poly, as_rat
+from .poly import Poly, as_rat, rat_text
 
 
 class InvalidGenerator(ValueError):
@@ -173,11 +173,11 @@ def _rational_kth_roots(q: Fraction, k: int) -> list[Fraction]:
 
 def generator_to_json(gen: Generator) -> dict:
     if isinstance(gen, Shear):
-        return {"type": gen.tag, "b": str(gen.b), "s": gen.s.to_text()}
+        return {"type": gen.tag, "b": rat_text(gen.b), "s": gen.s.to_text()}
     if isinstance(gen, Translate):
-        return {"type": gen.tag, "nu": str(gen.nu)}
+        return {"type": gen.tag, "nu": rat_text(gen.nu)}
     if isinstance(gen, Dilate):
-        return {"type": gen.tag, "mu": str(gen.mu)}
+        return {"type": gen.tag, "mu": rat_text(gen.mu)}
     raise TypeError(f"not a generator: {gen!r}")
 
 

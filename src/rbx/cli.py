@@ -41,7 +41,7 @@ from .operators import (
     first_rb_failure,
     operator_to_point,
 )
-from .poly import Poly, as_rat
+from .poly import Poly, as_rat, rat_text
 from .selftest import DEFAULT_SEED, run_all
 from .transitivity import solve_distinct_tuple, solve_single, solve_tuple_independent
 
@@ -130,11 +130,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except TruncationTooSmall as exc:
         raise InputError(f"truncation cannot support degree {degree}: {exc}") from exc
     if failure is None:
-        print(json.dumps({"holds": True, "weight": str(weight), "degree": degree}))
+        print(json.dumps({"holds": True, "weight": rat_text(weight), "degree": degree}))
         return 0
     print(
         json.dumps(
-            {"holds": False, "weight": str(weight), "degree": degree, "first_failure": list(failure)}
+            {"holds": False, "weight": rat_text(weight), "degree": degree, "first_failure": list(failure)}
         )
     )
     return 1
@@ -209,7 +209,7 @@ def _cmd_functional(args: argparse.Namespace) -> int:
             json.dumps(
                 {
                     "member_Mr": member,
-                    "a": str(recovered) if recovered is not None else None,
+                    "a": rat_text(recovered) if recovered is not None else None,
                 }
             )
         )
@@ -224,7 +224,7 @@ def _cmd_functional(args: argparse.Namespace) -> int:
                 json.dumps(
                     {
                         "member_Mr": bumped_member,
-                        "a": str(bumped_a) if bumped_a is not None else None,
+                        "a": rat_text(bumped_a) if bumped_a is not None else None,
                     }
                 )
             )

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, RatLike, as_rat, common_root
+from .poly import Poly, RatLike, as_rat, common_root, rat_text
 
 
 class TruncationTooSmall(ValueError):
@@ -67,7 +67,7 @@ class AnalyticOp:
         return TruncOp(tuple(self.apply(Poly.monomial(i)) for i in range(n + 1)))
 
     def to_json(self) -> dict:
-        return {"a": str(self.a), "r": self.r.to_text()}
+        return {"a": rat_text(self.a), "r": self.r.to_text()}
 
     @classmethod
     def from_json(cls, data: dict) -> "AnalyticOp":

@@ -67,6 +67,25 @@ def as_rat(value: RatLike) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def rat_text(value: "Fraction | int") -> str:
+    """``str(value)`` at any size, past Python's limit on int-to-string digits.
+
+    Integers under 14,000 bits (at most 4,215 digits) go to ``str``; a larger
+    one is split at a power of 10 near half its digits, each half printed so.
+    """
+    if isinstance(value, Fraction):
+        if value.denominator != 1:
+            return f"{rat_text(value.numerator)}/{rat_text(value.denominator)}"
+        value = value.numerator
+    if value.bit_length() < 14000:
+        return str(value)
+    if value < 0:
+        return "-" + rat_text(-value)
+    k = value.bit_length() * 3 // 20  # log10(2) > 0.3, so 10^k < value
+    high, low = divmod(value, 10**k)
+    return rat_text(high) + rat_text(low).zfill(k)
+
+
 def _join_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
     """Signed sum of nonzero ``(coef, monomial)`` terms; ``""`` is the constant monomial."""
     parts: list[str] = []
@@ -76,7 +95,7 @@ def _join_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
             parts.append(" - " if coef < 0 else " + ")
         elif coef < 0:
             parts.append("-")
-        parts.append(str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}")
+        parts.append(rat_text(mag) if not mono else mono if mag == 1 else f"{rat_text(mag)}*{mono}")
     return "".join(parts) or "0"
 
 

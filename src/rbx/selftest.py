@@ -282,7 +282,7 @@ def criterion_independent_tuples(rng: random.Random) -> str:
             dst = _independent_tuple(rng, m, a)
             word = solve_tuple_independent(src, dst)
             _require(apply_word_tuple(word, src) == dst)
-            _require(len(word) <= 10 * m * m + 20 * m)
+            _require(len(word) <= 5 * m)
             total += 1
     return f"{total} independent-tuple words verified within the length cap"
 

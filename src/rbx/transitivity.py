@@ -8,10 +8,11 @@ need no replay, and no public solver calls another.  The staging device is
 :class:`DiagonalTuple`: an operator tuple whose multipliers hit prescribed
 nonzero values on a diagonal evaluation pattern (r_i(b_j) = c_i when i = j,
 else 0), which makes per-member fiber moves independent of each other.
-A tuple word diagonalises both tuples, bridges the source's diagonal tuple
-through an auxiliary pattern onto the destination's own pattern, finishes
-with one fiber move per member there and undoes the destination's
-diagonalisation.
+A tuple word diagonalises both tuples with one shear per pivot row, bridges
+the source's diagonal tuple through an auxiliary pattern onto the
+destination's own pattern, finishes with one fiber move per member there and
+undoes the destination's diagonalisation.  A move that changes nothing is
+left out, so a word between independent m-tuples has at most 5m generators.
 
 Points are always scanned deterministically, evaluation points through
 0, 1, 2, ... and the squared-shear point through 0, 1, -1, 2, -2, ..., so a
@@ -177,19 +178,16 @@ def select_basepoints(rs: Sequence[Poly]) -> list[Fraction]:
     return [Fraction(j) for j in pivots]
 
 
-def _selector(points: Sequence[Fraction], index: int) -> Poly:
-    """Interpolation selector: 1 at points[index], 0 at every other point."""
-    return lagrange([(b, 1 if j == index else 0) for j, b in enumerate(points)])
-
-
 def diagonalize_tuple(
     ops: Sequence[AnalyticOp], points: Sequence[Fraction]
 ) -> tuple[Word, DiagonalTuple]:
     """Column-operation elimination of the evaluation matrix by shears.
 
-    Each generator adds one column of (r_i(b_j)) to another; afterwards each
-    row holds exactly one nonzero entry.  Returns the word and the resulting
-    diagonal tuple, base points permuted to match the rows.
+    Each row adds multiples of its pivot column of (r_i(b_j)) to the other
+    columns by one shear at its pivot point (shears at one point keep r
+    there, so they add); afterwards each row holds exactly one nonzero
+    entry.  Returns the word, at most m shears, and the resulting diagonal
+    tuple, base points permuted to match the rows.
     """
     m = len(ops)
     points = [as_rat(b) for b in points]
@@ -199,26 +197,19 @@ def diagonalize_tuple(
     matrix = [[op.r(b) for b in points] for op in ops]
     if linalg.det(matrix) == 0:
         raise LinearlyDependent("evaluation matrix must be invertible")
-    selectors = [_selector(points, j) for j in range(m)]
     word: list[Generator] = []
-    cur = list(ops)
     used: list[int] = []
     for i in range(m):
         pivot = next(j for j in range(m) if j not in used and matrix[i][j] != 0)
-        for j in range(m):
-            if j == pivot or matrix[i][j] == 0:
-                continue
-            lam = -matrix[i][j] / matrix[i][pivot]
-            gen = Shear(points[pivot], selectors[j] * lam)
-            word.append(gen)
-            cur = [gen.apply(op) for op in cur]
-            for t in range(m):
-                matrix[t][j] += lam * matrix[t][pivot]
+        lams = [0 if j == pivot else -v / matrix[i][pivot] for j, v in enumerate(matrix[i])]
+        if any(lams):
+            word.append(Shear(points[pivot], lagrange(zip(points, lams))))
+            matrix = [[v + lam * row[pivot] for v, lam in zip(row, lams)] for row in matrix]
         used.append(pivot)
     result = DiagonalTuple(
         tuple(points[p] for p in used),
         tuple(matrix[i][p] for i, p in enumerate(used)),
-        tuple(cur),
+        tuple(apply_word_tuple(word, ops)),
     )
     return tuple(word), result
 
@@ -231,7 +222,7 @@ def bridge_tuple(
     Interpolates target multipliers meeting both patterns at once, then
     walks there one member at a time with fiber moves at the source points;
     each move fixes the other members because their multipliers vanish
-    there.
+    there; a member already at its target gets no move.
     """
     m = len(src.ops)
     dst_points = [as_rat(b) for b in dst_points]
@@ -251,14 +242,22 @@ def bridge_tuple(
             (b, src.values[k] if i == k else 0) for i, b in enumerate(src.base_points)
         ] + [(b, dst_values[k] if i == k else 0) for i, b in enumerate(dst_points)]
         targets.append(AnalyticOp(a, lagrange(constraints)))
+    word, cur = _fiber_moves(src.ops, targets, src.base_points)
+    return word, DiagonalTuple(tuple(dst_points), tuple(dst_values), tuple(cur))
+
+
+def _fiber_moves(
+    ops: Sequence[AnalyticOp], targets: Sequence[AnalyticOp], points: Sequence[Fraction]
+) -> tuple[Word, list[AnalyticOp]]:
+    """Fiber moves carrying ops[k] to targets[k] at points[k] in turn, no-op moves left out."""
     word: list[Generator] = []
-    cur = list(src.ops)
-    for k in range(m):
-        gen = fiber_move(cur[k], targets[k], src.base_points[k])
-        word.append(gen)
-        cur = [gen.apply(op) for op in cur]
-    result = DiagonalTuple(tuple(dst_points), tuple(dst_values), tuple(cur))
-    return tuple(word), result
+    cur = list(ops)
+    for k, b in enumerate(points):
+        gen = fiber_move(cur[k], targets[k], b)
+        if gen.s:
+            word.append(gen)
+            cur = [gen.apply(op) for op in cur]
+    return tuple(word), cur
 
 
 def _between(src: Sequence[AnalyticOp], dst: Sequence[AnalyticOp]) -> Word:
@@ -275,14 +274,9 @@ def _between(src: Sequence[AnalyticOp], dst: Sequence[AnalyticOp]) -> Word:
     aux = [Fraction(t) for t in range(3 * m) if t not in taken][:m]
     word_aux, diag = bridge_tuple(diag, aux, [Fraction(1)] * m)
     word_onto, diag = bridge_tuple(diag, diag_dst.base_points, diag_dst.values)
-    within: list[Generator] = []
-    cur = list(diag.ops)
-    for k in range(m):
-        gen = fiber_move(cur[k], diag_dst.ops[k], diag.base_points[k])
-        within.append(gen)
-        cur = [gen.apply(op) for op in cur]
-    word = word_src + word_aux + word_onto + tuple(within) + inverse_word(word_dst)
-    _verify(len(word) <= 10 * m * m + 20 * m, "independent-tuple word exceeds its length cap")
+    within, _ = _fiber_moves(diag.ops, diag_dst.ops, diag.base_points)
+    word = word_src + word_aux + word_onto + within + inverse_word(word_dst)
+    _verify(len(word) <= 5 * m, "independent-tuple word exceeds its length cap")
     return word
 
 
@@ -295,8 +289,8 @@ def solve_tuple_independent(
     tuple through an auxiliary pattern (the first m non-negative integers
     that neither pattern uses, every value 1) onto the destination's points
     and values; m fiber moves there match the members, and the destination's
-    diagonalisation is undone by its inverse word.  The word has at most
-    m(m-1) generators per diagonalisation plus 3m.
+    diagonalisation is undone by its inverse word.  That is at most 5m
+    generators: one shear per row to diagonalise, no no-op moves.
     """
     word = _between(src, dst)
     _verify(apply_word_tuple(word, src) == list(dst), "independent-tuple word misses its target")
@@ -345,7 +339,8 @@ def make_independent(ops: Sequence[AnalyticOp]) -> Word:
     multipliers 1, x, ..., x^(m-2); a dependent last member then lies in
     their span and a single squared shear along x^m - b^m breaks the
     dependence, at the first b of the scan 0, 1, -1, 2, -2, ... with
-    r(b)^2 != r(b^2).  The resulting rank is checked.
+    r(b)^2 != r(b^2).  The resulting rank is checked.  Recursion level
+    k = 1 .. m-1 adds at most 5k + 1 generators.
     """
     word, images = _independent(ops)
     _verify(apply_word_tuple(word, ops) == images, "independence word misses its images")
@@ -358,13 +353,15 @@ def solve_distinct_tuple(
     """Word carrying any distinct tuple to any other, memberwise.
 
     Makes both sides independent, solves between the independent images and
-    undoes the destination preparation.
+    undoes the destination preparation: at most 5m^2 + 2m - 2 generators.
     """
-    if len(src) != len(dst):
+    m = len(src)
+    if len(dst) != m:
         raise ValueError("tuples must have equal length")
     _shared_base(list(src) + list(dst))
     word_src, src_ind = _independent(src)
     word_dst, dst_ind = _independent(dst)
     word = word_src + _between(src_ind, dst_ind) + inverse_word(word_dst)
+    _verify(len(word) <= 5 * m * m + 2 * m - 2, "distinct-tuple word exceeds its length cap")
     _verify(apply_word_tuple(word, src) == list(dst), "distinct-tuple word misses its target")
     return word

@@ -218,6 +218,14 @@ class TestAct:
         assert code == 0
         assert json.loads(out) == [{"a": "0", "r": "x + 1"}, {"a": "0", "r": "x"}]
 
+    def test_result_past_the_int_string_limit(self, tmp_path, capsys):
+        # 10^5000 has more digits than Python's str converts by default
+        word = write(tmp_path, "w.json", [{"type": "GM", "mu": "1" + "0" * 1000}])
+        opfile = write(tmp_path, "op.json", {"a": "0", "r": "x^5"})
+        code, out, _ = run(capsys, ["act", "--word", word, "--op", opfile])
+        assert code == 0
+        assert json.loads(out) == {"a": "0", "r": "1" + "0" * 5000 + "*x^5"}
+
     def test_invalid_generator(self, tmp_path, capsys):
         word = write(tmp_path, "w.json", [{"type": "HB", "b": "0", "s": "x + 1"}])
         opfile = write(tmp_path, "op.json", {"a": "0", "r": "1"})

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from rbx.poly import (
     common_root,
     gcd,
     lagrange,
+    rat_text,
 )
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -369,6 +371,28 @@ class TestRationalRoots:
         cofactor = Poly((lead, 1, 0, lead))
         assert common_root(linear(a) ** 2 * cofactor, linear(a) * cofactor.derive()) == a
         assert common_root(linear(a) ** 3 * Poly.constant(lead)) == a
+
+
+class TestRatText:
+    """``rat_text`` is ``str`` of a rational, also past the int-to-string digit limit."""
+
+    def test_matches_unlimited_str(self):
+        values = [
+            0, 7, -12, Fraction(-3, 4), 2**13999 - 1, 2**14000, 10**5000, 10**5000 + 1,
+            -(7**20000), Fraction(10**5000 + 1, 3**9000), Fraction(-1, 2**20000),
+        ]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            expected = [str(v) for v in values]
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert [rat_text(v) for v in values] == expected
+
+    def test_terms_past_the_limit(self):
+        assert Poly.monomial(5, 10**5000).to_text() == "1" + "0" * 5000 + "*x^5"
 
 
 class TestRationalLiteral:

@@ -11,7 +11,7 @@ import pytest
 
 from hypothesis import given, strategies as st
 
-from rbx import linalg, selftest
+from rbx import linalg, selftest, transitivity
 from rbx.actions import Dilate, Shear, ShearSquared, Translate, apply_word, apply_word_tuple
 from rbx.operators import AnalyticOp
 from rbx.poly import Poly
@@ -22,6 +22,7 @@ from rbx.transitivity import (
     DuplicateOperators,
     FiberMismatch,
     LinearlyDependent,
+    VerificationFailed,
     ZeroFiberValue,
     bridge_tuple,
     diagonalize_tuple,
@@ -274,8 +275,8 @@ class TestSolveTupleIndependent:
         assert apply_word_tuple(word, [AnalyticOp(0, Poly.one())]) == [
             AnalyticOp(0, Poly((1, 1)))
         ]
-        # two bridges and one fiber move; a single member needs no diagonalisation
-        assert len(word) == 3
+        # r = 1 already meets both bridge targets, so only the fiber move is left
+        assert len(word) == 1
 
     def test_shifted_constants(self):
         src = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.x())]
@@ -291,8 +292,8 @@ class TestSolveTupleIndependent:
             dst = random_independent(rng, 3, a)
             word = solve_tuple_independent(src, dst)
             assert apply_word_tuple(word, src) == dst
-            # m(m-1) per diagonalisation, m per bridge and m fiber moves
-            assert len(word) <= 2 * 9 + 3
+            # one shear per row per diagonalisation, m per bridge and m fiber moves
+            assert len(word) <= 5 * 3
 
     def test_dependent_rejected(self):
         pair = [AnalyticOp(0, Poly.x()), AnalyticOp(0, Poly((0, 2)))]
@@ -460,6 +461,29 @@ class TestWordLength:
                 word = solve_tuple_independent(src, dst)
                 assert apply_word_tuple(word, src) == dst
                 assert len(word) <= 5 * m
+
+    def test_distinct_words_within_their_bound(self):
+        rng = random.Random(109)
+        for m in (1, 2, 3, 4):
+            for _ in range(3):
+                a = random_rat(rng)
+                src = _random_distinct(rng, m, a)
+                if m > 1:
+                    src[-1] = AnalyticOp(a, src[0].r * 3)
+                dst = _random_distinct(rng, m, a)
+                assert len(make_independent(src)) <= sum(5 * k + 1 for k in range(1, m))
+                assert len(solve_distinct_tuple(src, dst)) <= 5 * m * m + 2 * m - 2
+
+    def test_distinct_cap_is_checked(self, monkeypatch):
+        # opposite shears cancel, so the padded word still reaches its target:
+        # only the length cap can refuse it
+        b = Fraction(7)
+        padding = (Shear(b, Poly((-b, 1))), Shear(b, Poly((b, -1)))) * 20
+        between = transitivity._between
+        monkeypatch.setattr(transitivity, "_between", lambda src, dst: between(src, dst) + padding)
+        ops = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.constant(2))]
+        with pytest.raises(VerificationFailed, match="exceeds its length cap"):
+            solve_distinct_tuple(ops, ops)
 
 
 def test_distinct_words_are_checked_once(monkeypatch):
