@@ -70,15 +70,17 @@ def as_rat(value: RatLike) -> Fraction:
 def rat_text(value: "Fraction | int") -> str:
     """``str(value)`` at any size, past Python's limit on int-to-string digits.
 
-    Integers under 14,000 bits (at most 4,215 digits) go to ``str``; a larger
-    one is split at a power of 10 near half its digits, each half printed so.
+    ``str`` prints every value it can; only a value past the limit is split,
+    each integer at a power of 10 near half its digits.
     """
+    try:
+        return str(value)
+    except ValueError:
+        pass
     if isinstance(value, Fraction):
         if value.denominator != 1:
             return f"{rat_text(value.numerator)}/{rat_text(value.denominator)}"
         value = value.numerator
-    if value.bit_length() < 14000:
-        return str(value)
     if value < 0:
         return "-" + rat_text(-value)
     k = value.bit_length() * 3 // 20  # log10(2) > 0.3, so 10^k < value
