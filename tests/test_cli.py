@@ -146,6 +146,21 @@ class TestFunctional:
         assert any(v["member_Mr"] for v in verdicts)
         assert any(not v["member_Mr"] for v in verdicts)
 
+    def test_check_at_a_small_budget_keeps_the_finite_answer(self, capsys):
+        # budget 1 accepts the c_0 + 1 bump of the curve head of x^4 + 3 at 0,
+        # so the check fails; the finite answer is printed, not the exact one
+        code, out, err = run(capsys, ["functional", "check", "r=x^4+3", "--budget", "1"])
+        assert code == 1 and err == "check failed\n"
+        verdicts = [json.loads(line) for line in out.strip().splitlines()]
+        assert verdicts[:6] == [
+            {"member_Mr": True, "a": "0"},
+            {"member_Mr": True, "a": None},
+            {"member_Mr": False, "a": None},
+            {"member_Mr": True, "a": None},
+            {"member_Mr": False, "a": None},
+            {"member_Mr": True, "a": None},
+        ]
+
     def test_huge_index_system(self, capsys):
         code, out, _ = run(capsys, ["functional", "system", "r=x", "n=100000000", "m=0"])
         assert code == 0

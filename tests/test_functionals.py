@@ -408,6 +408,56 @@ class TestMembership:
         bumped = head[:j] + (head[j] + bump,) + head[j + 1 :]
         assert satisfies_system(r, bumped, budget) is ref_satisfies_system(r, bumped, budget)
 
+    @settings(deadline=None, max_examples=150)
+    @given(
+        multipliers(max_deg=4),
+        st.sampled_from(["curve", "bumped", "random"]),
+        st.fractions(min_value=-1000, max_value=1000, max_denominator=50),
+        st.lists(small_rats, min_size=5, max_size=5),
+        st.integers(0, 4),
+        st.integers(0, 8),
+    )
+    def test_agrees_with_reference(self, r, kind, a, entries, j, budget):
+        k = r.degree
+        head = curve_coords(r, a, k + 1).c
+        if kind == "bumped":
+            j = min(j, k)
+            head = head[:j] + (head[j] + (entries[j] or 1),) + head[j + 1 :]
+        elif kind == "random":
+            head = tuple(entries[: k + 1])
+        assert satisfies_system(r, head, budget) is ref_satisfies_system(r, head, budget)
+
+    def test_small_budget_accepts_an_off_curve_head(self):
+        # the finite check answers for its budget only: c_0 + 1 on the curve
+        # head of x^4 + 3 at 0 meets every equation with n, m <= 1
+        r = Poly.from_text("x^4+3")
+        head = curve_coords(r, 0, 5).c
+        bumped = (head[0] + 1,) + head[1:]
+        assert recover_base_point(r, bumped) is None
+        assert satisfies_system(r, bumped, 0)
+        assert satisfies_system(r, bumped, 1)
+        assert not satisfies_system(r, bumped, 2)
+
+    def test_budget_zero_accepts_every_head(self):
+        # the only pair (0, 0) is the one the step for c_(k+1) solves
+        rng = random.Random(11)
+        for _ in range(20):
+            r = random_poly(rng, 4)
+            head = tuple(random_rat(rng) for _ in range(r.degree + 1))
+            assert satisfies_system(r, head, 0)
+
+    def test_finite_check_accepts_curve_heads_on_its_own(self, monkeypatch):
+        # with the base-point decision switched off, the finite check alone
+        # must still accept curve heads and reject bumped ones
+        monkeypatch.setattr(functionals, "recover_base_point", lambda r, head: None)
+        rng = random.Random(37)
+        for _ in range(10):
+            r, a = random_poly(rng, 4), random_rat(rng)
+            head = curve_coords(r, a, r.degree + 1).c
+            assert satisfies_system(r, head, 8)
+            if r.degree:
+                assert not satisfies_system(r, (head[0] + 1,) + head[1:], 8)
+
     @pytest.mark.parametrize("bits", [64, 256, 1024])
     def test_recover_tall_base_points(self, bits):
         rng = random.Random(bits)
