@@ -14,6 +14,13 @@ finite budget) and the symbolic curve in Q[a] for ``vanishes_on_curve``.
 The curve of functionals realised by an actual integration base point a is
 ``curve_coords``, its symbolic form in a is ``curve_coords_symbolic``, and
 ``recover_base_point`` decides whether a head lies on the curve.
+
+Membership rests on the paper's classification (PAPER.md): an injective
+weight-zero Rota-Baxter operator on Q[x] whose head lies on the curve of r
+is analytically modeled, R = I_a(r*), so its functional solves every
+coordinate equation.  ``satisfies_system`` therefore accepts a head as soon
+as ``recover_base_point`` finds its base point, and runs the finite check
+only off the curve, where a small budget can still accept.
 """
 
 from __future__ import annotations
@@ -121,8 +128,8 @@ def _step(rs: Sequence[Fraction], c, t: int):
 
 
 def _extend(rs: Sequence[Fraction], head: list, top: int) -> list:
-    """Append c_(k+1) .. c_top to the head c_0 .. c_k, each solved by ``_step``."""
-    for t in range(len(rs), top + 1):
+    """Extend the coordinates c_0 .. c_k .. up to c_top, each new one solved by ``_step``."""
+    for t in range(len(head), top + 1):
         head.append(_step(rs, head.__getitem__, t))
     return head
 
@@ -174,19 +181,26 @@ def satisfies_system(r: Poly, head: Sequence[RatLike], budget: int = 8) -> bool:
 
     The head (length deg r + 1) extends uniquely by the elimination step;
     membership holds iff every coordinate equation with n, m <= budget is
-    satisfied by the extension.
+    satisfied by the extension.  A head on the curve satisfies them all at
+    every budget (the classification, PAPER.md), so the base point decides
+    it; off the curve the pairs are checked in order of n + m, extending
+    only as far as each needs, and the first failure decides.  The pairs
+    with n = 0 or m = 0 are the ones the elimination steps solve.
     """
     rs, k = _context(r)
     if len(head) != k + 1:
         raise ValueError(f"head must have length {k + 1}, got {len(head)}")
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    coords = _extend(rs, [as_rat(v) for v in head], 2 * budget + k + 1)
-    return not any(
-        _equation(rs, coords.__getitem__, n, m)
-        for n in range(budget + 1)
-        for m in range(n, budget + 1)
-    )
+    coords = [as_rat(v) for v in head]
+    if recover_base_point(r, coords) is not None:
+        return True
+    for s in range(2, 2 * budget + 1):
+        _extend(rs, coords, s + k + 1)
+        for n in range(max(1, s - budget), s // 2 + 1):
+            if _equation(rs, coords.__getitem__, n, s - n):
+                return False
+    return True
 
 
 def recover_base_point(r: Poly, head: Sequence[RatLike]) -> "Fraction | None":
