@@ -57,14 +57,35 @@ def as_rat(value: RatLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         compact = "".join(value.split())
-        if _RAT_RE.fullmatch(compact) is None:
-            raise PolyParseError(f"bad rational literal {value!r}")
+        num, slash, den = compact.partition("/")
+        if _RAT_RE.fullmatch(compact) is None or (slash and not den.strip("0")):
+            raise PolyParseError(f"bad rational literal {_clip(value)}")
         try:
             return Fraction(compact)
-        except (ValueError, ZeroDivisionError) as exc:
-            # a zero denominator, or more digits than int() converts
-            raise PolyParseError(f"bad rational literal {value!r}") from exc
+        except ValueError:  # more digits than int() converts
+            return Fraction(_int_text(num), _int_text(den or "1"))
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def _int_text(digits: str) -> int:
+    """``int(digits)`` for signed ASCII digits, past Python's limit on string-to-int digits.
+
+    ``int`` reads every run it can; only a run past the limit is split in
+    half, the mirror of ``rat_text``.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        pass
+    if digits[0] == "-":
+        return -_int_text(digits[1:])
+    k = len(digits) // 2
+    return _int_text(digits[:-k]) * 10**k + _int_text(digits[-k:])
+
+
+def _clip(text: str, limit: int = 60) -> str:
+    """``repr(text)``, cut after ``limit`` characters so an error message stays short."""
+    return repr(text) if len(text) <= limit else f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 def rat_text(value: "Fraction | int") -> str:
@@ -308,7 +329,7 @@ class Poly:
         while pos < len(compact):
             m = _TERM_RE.match(compact, pos)
             if m is None or m.end() == pos:
-                raise PolyParseError(f"cannot parse polynomial text at {compact[pos:]!r}")
+                raise PolyParseError(f"cannot parse polynomial text at {_clip(compact[pos:])}")
             sign = -1 if m.group("sign") == "-" else 1
             coef_text = m.group("coef")
             coef = as_rat(coef_text) if coef_text else Fraction(1)

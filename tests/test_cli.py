@@ -240,6 +240,11 @@ class TestAct:
         code, out, _ = run(capsys, ["act", "--word", word, "--op", opfile])
         assert code == 0
         assert json.loads(out) == {"a": "0", "r": "1" + "0" * 5000 + "*x^5"}
+        # what rbx prints it reads back
+        empty = write(tmp_path, "empty.json", [])
+        printed = write(tmp_path, "printed.json", json.loads(out))
+        code, again, _ = run(capsys, ["act", "--word", empty, "--op", printed])
+        assert (code, again) == (0, out)
 
     def test_invalid_generator(self, tmp_path, capsys):
         word = write(tmp_path, "w.json", [{"type": "HB", "b": "0", "s": "x + 1"}])

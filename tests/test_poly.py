@@ -404,11 +404,37 @@ class TestRationalLiteral:
         assert Poly.from_text(text) == Poly.constant(value)
 
     @pytest.mark.parametrize(
-        "bad", ["0.5", "1e3", "1_000", "1/0", "1" * 4301, "", "/2", "1/-2", "\u0663/\u0664"]
+        "bad", ["0.5", "1e3", "1_000", "1/0", "", "/2", "1/-2", "\u0663/\u0664"]
     )
     def test_rejected(self, bad):
         with pytest.raises(PolyParseError):
             as_rat(bad)
+
+    def test_past_the_int_string_limit(self):
+        # more digits than int() reads by default; the parse mirrors rat_text
+        cases = {
+            "1" * 4301: (int("1" * 2150) * 10**2151 + int("1" * 2151), 1),
+            "-" + "9" * 5000 + "/7": (-(10**5000 - 1), 7),
+            "+3/" + "1" + "0" * 5000: (3, 10**5000),
+            "-" + "1" + "0" * 9000 + "/" + "2" * 4400: (-(10**9000), int("2" * 2200) * (10**2200 + 1)),
+        }
+        for text, (num, den) in cases.items():
+            assert as_rat(text) == Fraction(num, den)
+        with pytest.raises(PolyParseError):
+            as_rat("1" * 5000 + "/0")
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["1" * 5000 + ".5", "1" * 5000 + "/0", "1/-" + "2" * 5000],
+        ids=["decimal", "zero-denominator", "signed-denominator"],
+    )
+    def test_long_bad_literal_message_is_short(self, bad):
+        with pytest.raises(PolyParseError) as exc:
+            as_rat(bad)
+        assert len(str(exc.value)) < 200
+        with pytest.raises(PolyParseError) as exc:
+            Poly.from_text("x + " + bad)
+        assert len(str(exc.value)) < 200
 
     @given(tall_rationals)
     def test_str_round_trip(self, q):
@@ -473,3 +499,9 @@ class TestTextGrammar:
     @given(polys)
     def test_round_trip_bit_exact(self, p):
         assert Poly.from_text(p.to_text()) == p
+
+    def test_round_trip_past_the_int_string_limit(self):
+        p = Poly((Fraction(-(10**5000) + 1, 3), 0, 10**4999 * 7))
+        text = p.to_text()
+        assert text.startswith("7" + "0" * 4999 + "*x^2 - ")
+        assert Poly.from_text(text) == p
