@@ -83,9 +83,9 @@ def _int_text(digits: str) -> int:
     return _int_text(digits[:-k]) * 10**k + _int_text(digits[-k:])
 
 
-def _clip(text: str, limit: int = 60) -> str:
-    """``repr(text)``, cut after ``limit`` characters so an error message stays short."""
-    return repr(text) if len(text) <= limit else f"{text[:limit]!r}... ({len(text)} characters)"
+def _clip(text: str) -> str:
+    """``repr(text)``, cut after 60 characters so an error message stays short."""
+    return repr(text) if len(text) <= 60 else f"{text[:60]!r}... ({len(text)} characters)"
 
 
 def rat_text(value: "Fraction | int") -> str:
