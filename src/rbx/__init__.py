@@ -61,19 +61,11 @@ from .poly import (
     lagrange,
 )
 from .transitivity import (
-    BasePointCollision,
     BasePointMismatch,
-    DiagonalTuple,
     DuplicateOperators,
-    FiberMismatch,
     LinearlyDependent,
     VerificationFailed,
-    ZeroFiberValue,
-    bridge_tuple,
-    diagonalize_tuple,
-    fiber_move,
     make_independent,
-    select_basepoints,
     solve_distinct_tuple,
     solve_single,
     solve_tuple_independent,
@@ -94,9 +86,6 @@ __all__ = [
     "TruncationTooSmall", "ZeroMultiplier", "derived_multiplier", "first_rb_failure",
     "is_rb_upto", "odd_halving_example", "operator_to_point", "rb_residual",
     "NEG_INF", "DuplicateAbscissa", "Poly", "PolyParseError", "as_rat", "lagrange",
-    "BasePointCollision", "BasePointMismatch", "DiagonalTuple", "DuplicateOperators",
-    "FiberMismatch", "LinearlyDependent", "VerificationFailed", "ZeroFiberValue",
-    "bridge_tuple", "diagonalize_tuple", "fiber_move", "make_independent",
-    "select_basepoints", "solve_distinct_tuple", "solve_single",
-    "solve_tuple_independent",
+    "BasePointMismatch", "DuplicateOperators", "LinearlyDependent", "VerificationFailed",
+    "make_independent", "solve_distinct_tuple", "solve_single", "solve_tuple_independent",
 ]

@@ -4,10 +4,11 @@ Each public solver returns a word of generators and verifies it once, by one
 exact application, before returning; a wrong word is a bug, not a result,
 and raises :class:`VerificationFailed` (also under ``python -O``).  The
 private builders ``_between`` and ``_independent`` keep only the checks that
-need no replay, and no public solver calls another.  The staging device is
-:class:`DiagonalTuple`: an operator tuple whose multipliers hit prescribed
-nonzero values on a diagonal evaluation pattern (r_i(b_j) = c_i when i = j,
-else 0), which makes per-member fiber moves independent of each other.
+need no replay, and no public solver calls another.  The staging is private
+as well.  Its device is ``_DiagonalTuple``: an operator tuple whose
+multipliers hit prescribed nonzero values on a diagonal evaluation pattern
+(r_i(b_j) = c_i when i = j, else 0), which makes per-member fiber moves
+independent of each other.
 A tuple word diagonalises both tuples with one shear per pivot row, bridges
 the source's diagonal tuple through an auxiliary pattern onto the
 destination's own pattern, finishes with one fiber move per member there and
@@ -37,7 +38,7 @@ from .actions import (
     inverse_word,
 )
 from .operators import AnalyticOp
-from .poly import Poly, RatLike, as_rat, lagrange
+from .poly import Poly, lagrange
 
 
 class BasePointMismatch(ValueError):
@@ -74,7 +75,7 @@ def _verify(ok: bool, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class DiagonalTuple:
+class _DiagonalTuple:
     """Operator tuple with diagonal evaluation pattern r_i(b_j) = c_i * delta_ij."""
 
     base_points: tuple[Fraction, ...]
@@ -82,9 +83,6 @@ class DiagonalTuple:
     ops: tuple[AnalyticOp, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base_points", tuple(as_rat(b) for b in self.base_points))
-        object.__setattr__(self, "values", tuple(as_rat(c) for c in self.values))
-        object.__setattr__(self, "ops", tuple(self.ops))
         m = len(self.ops)
         if len(self.base_points) != m or len(self.values) != m:
             raise ValueError("base points, values and operators must have equal length")
@@ -116,9 +114,8 @@ def _is_independent(ops: Sequence[AnalyticOp]) -> bool:
     return linalg.rank([[op.r.coeff(j) for j in range(width)] for op in ops]) == len(ops)
 
 
-def fiber_move(src: AnalyticOp, dst: AnalyticOp, b: RatLike) -> Shear:
+def _fiber_move(src: AnalyticOp, dst: AnalyticOp, b: Fraction) -> Shear:
     """The shear at b carrying src to dst within one fiber of the evaluation map."""
-    b = as_rat(b)
     if src.a != dst.a:
         raise BasePointMismatch("fiber moves keep the integration base point fixed")
     c1, c2 = src.r(b), dst.r(b)
@@ -156,13 +153,13 @@ def solve_single(op1: AnalyticOp, op2: AnalyticOp) -> Word:
     gen = Shear(first, Poly((-first, Fraction(1))) * gamma)
     word.append(gen)
     cur = gen.apply(cur)
-    gen = fiber_move(cur, op2, second)
+    gen = _fiber_move(cur, op2, second)
     word.append(gen)
     _verify(len(word) <= 3 and apply_word(word, op1) == op2, "single word misses its target")
     return tuple(word)
 
 
-def select_basepoints(rs: Sequence[Poly]) -> list[Fraction]:
+def _select_basepoints(rs: Sequence[Poly]) -> list[Fraction]:
     """Integers 0, 1, 2, ... greedily kept while they raise the evaluation rank.
 
     Returns len(rs) points at which the evaluation matrix (r_i(b_j)) is
@@ -178,9 +175,9 @@ def select_basepoints(rs: Sequence[Poly]) -> list[Fraction]:
     return [Fraction(j) for j in pivots]
 
 
-def diagonalize_tuple(
+def _diagonalize_tuple(
     ops: Sequence[AnalyticOp], points: Sequence[Fraction]
-) -> tuple[Word, DiagonalTuple]:
+) -> tuple[Word, _DiagonalTuple]:
     """Column-operation elimination of the evaluation matrix by shears.
 
     Each row adds multiples of its pivot column of (r_i(b_j)) to the other
@@ -190,7 +187,6 @@ def diagonalize_tuple(
     tuple, base points permuted to match the rows.
     """
     m = len(ops)
-    points = [as_rat(b) for b in points]
     if len(points) != m or len(set(points)) != m:
         raise ValueError("need as many distinct evaluation points as operators")
     _shared_base(ops)
@@ -206,7 +202,7 @@ def diagonalize_tuple(
             word.append(Shear(points[pivot], lagrange(zip(points, lams))))
             matrix = [[v + lam * row[pivot] for v, lam in zip(row, lams)] for row in matrix]
         used.append(pivot)
-    result = DiagonalTuple(
+    result = _DiagonalTuple(
         tuple(points[p] for p in used),
         tuple(matrix[i][p] for i, p in enumerate(used)),
         tuple(apply_word_tuple(word, ops)),
@@ -214,9 +210,9 @@ def diagonalize_tuple(
     return tuple(word), result
 
 
-def bridge_tuple(
-    src: DiagonalTuple, dst_points: Sequence[RatLike], dst_values: Sequence[RatLike]
-) -> tuple[Word, DiagonalTuple]:
+def _bridge_tuple(
+    src: _DiagonalTuple, dst_points: Sequence[Fraction], dst_values: Sequence[Fraction]
+) -> tuple[Word, _DiagonalTuple]:
     """Move a diagonal tuple onto a disjoint evaluation pattern.
 
     Interpolates target multipliers meeting both patterns at once, then
@@ -225,8 +221,6 @@ def bridge_tuple(
     there; a member already at its target gets no move.
     """
     m = len(src.ops)
-    dst_points = [as_rat(b) for b in dst_points]
-    dst_values = [as_rat(c) for c in dst_values]
     if len(dst_points) != m or len(dst_values) != m:
         raise ValueError("destination pattern must match the tuple length")
     if set(dst_points) & set(src.base_points):
@@ -243,7 +237,7 @@ def bridge_tuple(
         ] + [(b, dst_values[k] if i == k else 0) for i, b in enumerate(dst_points)]
         targets.append(AnalyticOp(a, lagrange(constraints)))
     word, cur = _fiber_moves(src.ops, targets, src.base_points)
-    return word, DiagonalTuple(tuple(dst_points), tuple(dst_values), tuple(cur))
+    return word, _DiagonalTuple(tuple(dst_points), tuple(dst_values), tuple(cur))
 
 
 def _fiber_moves(
@@ -253,7 +247,7 @@ def _fiber_moves(
     word: list[Generator] = []
     cur = list(ops)
     for k, b in enumerate(points):
-        gen = fiber_move(cur[k], targets[k], b)
+        gen = _fiber_move(cur[k], targets[k], b)
         if gen.s:
             word.append(gen)
             cur = [gen.apply(op) for op in cur]
@@ -261,19 +255,20 @@ def _fiber_moves(
 
 
 def _between(src: Sequence[AnalyticOp], dst: Sequence[AnalyticOp]) -> Word:
-    """Unverified :func:`solve_tuple_independent`: the word, not replayed."""
+    """Unverified :func:`solve_tuple_independent`: the word, not replayed.
+
+    ``_select_basepoints`` decides each side's independence, once.
+    """
     m = len(src)
     if len(dst) != m:
         raise ValueError("tuples must have equal length")
     _shared_base(list(src) + list(dst))
-    if not _is_independent(src) or not _is_independent(dst):
-        raise LinearlyDependent("both tuples must be linearly independent")
-    word_src, diag = diagonalize_tuple(src, select_basepoints([op.r for op in src]))
-    word_dst, diag_dst = diagonalize_tuple(dst, select_basepoints([op.r for op in dst]))
+    word_src, diag = _diagonalize_tuple(src, _select_basepoints([op.r for op in src]))
+    word_dst, diag_dst = _diagonalize_tuple(dst, _select_basepoints([op.r for op in dst]))
     taken = set(diag.base_points) | set(diag_dst.base_points)
     aux = [Fraction(t) for t in range(3 * m) if t not in taken][:m]
-    word_aux, diag = bridge_tuple(diag, aux, [Fraction(1)] * m)
-    word_onto, diag = bridge_tuple(diag, diag_dst.base_points, diag_dst.values)
+    word_aux, diag = _bridge_tuple(diag, aux, [Fraction(1)] * m)
+    word_onto, diag = _bridge_tuple(diag, diag_dst.base_points, diag_dst.values)
     within, _ = _fiber_moves(diag.ops, diag_dst.ops, diag.base_points)
     word = word_src + word_aux + word_onto + within + inverse_word(word_dst)
     _verify(len(word) <= 5 * m, "independent-tuple word exceeds its length cap")

@@ -13,6 +13,16 @@ def test_all_names_resolve_and_none_is_a_module():
         assert not isinstance(getattr(rbx, name), types.ModuleType), name
 
 
+def test_tuple_staging_is_not_exported():
+    # the staging of tuple words is private to rbx.transitivity
+    staging = [
+        "DiagonalTuple", "bridge_tuple", "diagonalize_tuple", "fiber_move", "select_basepoints",
+        "BasePointCollision", "FiberMismatch", "ZeroFiberValue",
+    ]
+    for name in staging:
+        assert name not in rbx.__all__ and not hasattr(rbx, name), name
+    assert len(rbx.__all__) <= 55
+
 
 def test_readme_example():
     readme = Path(__file__).resolve().parents[1] / "README.md"

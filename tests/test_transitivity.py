@@ -18,17 +18,17 @@ from rbx.poly import Poly
 from rbx.transitivity import (
     BasePointCollision,
     BasePointMismatch,
-    DiagonalTuple,
     DuplicateOperators,
     FiberMismatch,
     LinearlyDependent,
     VerificationFailed,
     ZeroFiberValue,
-    bridge_tuple,
-    diagonalize_tuple,
-    fiber_move,
+    _bridge_tuple,
+    _DiagonalTuple,
+    _diagonalize_tuple,
+    _fiber_move,
+    _select_basepoints,
     make_independent,
-    select_basepoints,
     solve_distinct_tuple,
     solve_single,
     solve_tuple_independent,
@@ -62,27 +62,27 @@ class TestFiberMove:
     def test_shear_direction_from_difference(self):
         src = AnalyticOp(0, Poly((1, 1)))
         dst = AnalyticOp(0, Poly((1, 0, 1)))
-        gen = fiber_move(src, dst, 0)
+        gen = _fiber_move(src, dst, Fraction(0))
         assert gen.s == Poly((0, -1, 1))
         assert gen.apply(src) == dst
 
     def test_identity_move(self):
         op = AnalyticOp(1, Poly((2, 1)))
-        gen = fiber_move(op, op, 0)
+        gen = _fiber_move(op, op, Fraction(0))
         assert gen.s == Poly.zero()
         assert gen.apply(op) == op
 
     def test_value_mismatch(self):
         with pytest.raises(FiberMismatch):
-            fiber_move(AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.constant(2)), 0)
+            _fiber_move(AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.constant(2)), Fraction(0))
 
     def test_zero_fiber(self):
         with pytest.raises(ZeroFiberValue):
-            fiber_move(AnalyticOp(0, Poly.x()), AnalyticOp(0, Poly.x()), 0)
+            _fiber_move(AnalyticOp(0, Poly.x()), AnalyticOp(0, Poly.x()), Fraction(0))
 
     def test_base_point_guard(self):
         with pytest.raises(BasePointMismatch):
-            fiber_move(AnalyticOp(0, Poly.one()), AnalyticOp(1, Poly.one()), 0)
+            _fiber_move(AnalyticOp(0, Poly.one()), AnalyticOp(1, Poly.one()), Fraction(0))
 
 
 class TestSolveSingle:
@@ -124,7 +124,7 @@ class TestSolveSingle:
             "consts = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.constant(2))]",
             "monos = [AnalyticOp(0, Poly.x()), AnalyticOp(0, Poly.monomial(2))]",
             "cases = [",
-            "    ('single', 'fiber_move', lambda src, dst, b: actions.Shear(b, Poly((-b, 1))),",
+            "    ('single', '_fiber_move', lambda src, dst, b: actions.Shear(b, Poly((-b, 1))),",
             "     lambda: transitivity.solve_single(monos[0], AnalyticOp(1, Poly((2, 0, 1))))),",
             "    ('independent', 'inverse_word', lambda word: (),",
             "     lambda: transitivity.solve_tuple_independent([consts[0], monos[0]], monos)),",
@@ -176,27 +176,27 @@ class TestSelectBasepoints:
     def test_matches_greedy_reference(self, rs):
         if linalg.rank([list(r.coeffs) + [0] * (5 - len(r.coeffs)) for r in rs]) < len(rs):
             with pytest.raises(LinearlyDependent):
-                select_basepoints(rs)
+                _select_basepoints(rs)
         else:
-            assert select_basepoints(rs) == ref_select_basepoints(rs)
+            assert _select_basepoints(rs) == ref_select_basepoints(rs)
 
     def test_unit_and_x(self):
-        assert select_basepoints([Poly.one(), Poly.x()]) == [0, 1]
+        assert _select_basepoints([Poly.one(), Poly.x()]) == [0, 1]
 
     def test_single_with_root_at_origin(self):
-        assert select_basepoints([Poly.one()]) == [0]
-        assert select_basepoints([Poly.x()]) == [1]
-        assert select_basepoints([Poly((0, -2, 1))]) == [1]  # x(x-2): 0 and 2 are roots
+        assert _select_basepoints([Poly.one()]) == [0]
+        assert _select_basepoints([Poly.x()]) == [1]
+        assert _select_basepoints([Poly((0, -2, 1))]) == [1]  # x(x-2): 0 and 2 are roots
 
     def test_dependent_rejected(self):
         with pytest.raises(LinearlyDependent):
-            select_basepoints([Poly.x(), Poly((0, 2))])
+            _select_basepoints([Poly.x(), Poly((0, 2))])
 
     def test_matrix_invertible(self):
         rng = random.Random(67)
         for m in (1, 2, 3):
             rs = [op.r for op in random_independent(rng, m, Fraction(0))]
-            points = select_basepoints(rs)
+            points = _select_basepoints(rs)
             matrix = [[r(b) for b in points] for r in rs]
             assert linalg.det(matrix) != 0
 
@@ -205,20 +205,20 @@ class TestDiagonalize:
     def test_triangular_matrix_needs_one_operation(self):
         ops = [AnalyticOp(0, Poly((2, 1))), AnalyticOp(0, Poly((0, 1)))]
         # evaluation matrix at (0,1) is [[2,3],[0,1]]: one column op clears it
-        word, diag = diagonalize_tuple(ops, [Fraction(0), Fraction(1)])
+        word, diag = _diagonalize_tuple(ops, [Fraction(0), Fraction(1)])
         assert len(word) == 1
         assert apply_word_tuple(word, ops) == list(diag.ops)
 
     def test_empty_word_for_diagonal_matrix(self):
         ops = [AnalyticOp(0, Poly((1, -1))), AnalyticOp(0, Poly((0, 1)))]
         # values at (0,1): r1 -> (1, 0), r2 -> (0, 1)
-        word, diag = diagonalize_tuple(ops, [Fraction(0), Fraction(1)])
+        word, diag = _diagonalize_tuple(ops, [Fraction(0), Fraction(1)])
         assert word == ()
         assert diag.base_points == (0, 1)
 
     def test_unit_and_x_multipliers(self):
         ops = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.x())]
-        word, diag = diagonalize_tuple(ops, [Fraction(0), Fraction(1)])
+        word, diag = _diagonalize_tuple(ops, [Fraction(0), Fraction(1)])
         moved = apply_word_tuple(word, ops)
         assert list(diag.ops) == moved
         for i, op in enumerate(moved):
@@ -229,39 +229,39 @@ class TestDiagonalize:
         rng = random.Random(71)
         for m in (2, 3):
             ops = random_independent(rng, m, Fraction(1, 2))
-            points = select_basepoints([op.r for op in ops])
-            word, diag = diagonalize_tuple(ops, points)
+            points = _select_basepoints([op.r for op in ops])
+            word, diag = _diagonalize_tuple(ops, points)
             assert all(op.a == Fraction(1, 2) for op in diag.ops)
 
     def test_random_instances(self):
         rng = random.Random(73)
         for _ in range(5):
             ops = random_independent(rng, 3, random_rat(rng))
-            points = select_basepoints([op.r for op in ops])
-            word, diag = diagonalize_tuple(ops, points)
+            points = _select_basepoints([op.r for op in ops])
+            word, diag = _diagonalize_tuple(ops, points)
             assert apply_word_tuple(word, ops) == list(diag.ops)
 
 
 class TestBridge:
     def test_single_member(self):
-        src = DiagonalTuple((Fraction(0),), (Fraction(1),), (AnalyticOp(2, Poly.one()),))
-        word, out = bridge_tuple(src, [Fraction(1)], [Fraction(1)])
+        src = _DiagonalTuple((Fraction(0),), (Fraction(1),), (AnalyticOp(2, Poly.one()),))
+        word, out = _bridge_tuple(src, [Fraction(1)], [Fraction(1)])
         assert out.ops[0].r == Poly.one()  # interpolation through (0,1),(1,1)
         assert apply_word_tuple(word, list(src.ops)) == list(out.ops)
 
     def test_collision_rejected(self):
-        src = DiagonalTuple((Fraction(0),), (Fraction(1),), (AnalyticOp(2, Poly.one()),))
+        src = _DiagonalTuple((Fraction(0),), (Fraction(1),), (AnalyticOp(2, Poly.one()),))
         with pytest.raises(BasePointCollision):
-            bridge_tuple(src, [Fraction(0)], [Fraction(1)])
+            _bridge_tuple(src, [Fraction(0)], [Fraction(1)])
 
     def test_two_members(self):
         rng = random.Random(79)
         for _ in range(5):
             ops = random_independent(rng, 2, Fraction(0))
-            points = select_basepoints([op.r for op in ops])
-            _, diag = diagonalize_tuple(ops, points)
+            points = _select_basepoints([op.r for op in ops])
+            _, diag = _diagonalize_tuple(ops, points)
             fresh = [b for b in (Fraction(5), Fraction(6), Fraction(7)) if b not in diag.base_points][:2]
-            word, out = bridge_tuple(diag, fresh, [Fraction(2), Fraction(3)])
+            word, out = _bridge_tuple(diag, fresh, [Fraction(2), Fraction(3)])
             assert apply_word_tuple(word, list(diag.ops)) == list(out.ops)
             assert out.base_points == tuple(fresh)
             assert out.values == (2, 3)
@@ -299,6 +299,10 @@ class TestSolveTupleIndependent:
         pair = [AnalyticOp(0, Poly.x()), AnalyticOp(0, Poly((0, 2)))]
         with pytest.raises(LinearlyDependent):
             solve_tuple_independent(pair, pair)
+        # an independent source does not let a dependent destination through
+        independent = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.x())]
+        with pytest.raises(LinearlyDependent):
+            solve_tuple_independent(independent, pair)
 
     def test_mixed_base_points_rejected(self):
         with pytest.raises(BasePointMismatch):
@@ -423,7 +427,7 @@ class TestWordLength:
         for m in (2, 3, 4, 5):
             for _ in range(4):
                 ops = random_independent(rng, m, random_rat(rng))
-                word, diag = diagonalize_tuple(ops, select_basepoints([op.r for op in ops]))
+                word, diag = _diagonalize_tuple(ops, _select_basepoints([op.r for op in ops]))
                 assert apply_word_tuple(word, ops) == list(diag.ops)
                 points = [gen.b for gen in word]
                 assert len(points) == len(set(points)) <= m
