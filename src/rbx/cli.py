@@ -41,7 +41,7 @@ from .operators import (
     first_rb_failure,
     operator_to_point,
 )
-from .poly import Poly, as_rat, rat_text
+from .poly import Poly, _clip, as_rat, rat_text
 from .selftest import DEFAULT_SEED, run_all
 from .transitivity import solve_distinct_tuple, solve_single, solve_tuple_independent
 
@@ -177,7 +177,7 @@ def _need_int(values: dict[str, str], key: str) -> int:
     try:
         return integer(values[key])
     except ValueError as exc:
-        raise InputError(f"bad integer for {key}: {values[key]!r}") from exc
+        raise InputError(f"bad integer for {key}: {_clip(values[key])}") from exc
 
 
 def _cmd_functional(args: argparse.Namespace) -> int:
@@ -199,35 +199,23 @@ def _cmd_functional(args: argparse.Namespace) -> int:
     # check: sampled curve heads must be members with recoverable base point,
     # off-curve bumps must be rejected (degree-0 contexts have none).
     k = r.degree
+
+    def report(head: tuple[Fraction, ...]) -> tuple[bool, Fraction | None]:
+        member = satisfies_system(r, head, args.budget)
+        a = recover_base_point(r, head)
+        print(json.dumps({"member_Mr": member, "a": rat_text(a) if a is not None else None}))
+        return member, a
+
     samples = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 2)]
     ok = True
     for a in samples:
         head = curve_coords(r, a, k + 1).c
-        member = satisfies_system(r, head, args.budget)
-        recovered = recover_base_point(r, curve_coords(r, a, k + 2).c)
-        print(
-            json.dumps(
-                {
-                    "member_Mr": member,
-                    "a": rat_text(recovered) if recovered is not None else None,
-                }
-            )
-        )
+        member, recovered = report(head)
         ok = ok and member and recovered == a
         if k == 0:
             continue
         for j in range(k + 1):
-            bumped = head[:j] + (head[j] + 1,) + head[j + 1 :]
-            bumped_member = satisfies_system(r, bumped, args.budget)
-            bumped_a = recover_base_point(r, bumped)
-            print(
-                json.dumps(
-                    {
-                        "member_Mr": bumped_member,
-                        "a": rat_text(bumped_a) if bumped_a is not None else None,
-                    }
-                )
-            )
+            bumped_member, _ = report(head[:j] + (head[j] + 1,) + head[j + 1 :])
             ok = ok and not bumped_member
     print("check passed" if ok else "check failed", file=sys.stderr)
     return 0 if ok else 1

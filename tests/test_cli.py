@@ -185,6 +185,12 @@ class TestFunctional:
         code, out, err = run(capsys, argv)
         assert (code, out, err) == (2, "", f"error: bad integer for {key}: {value!r}\n")
 
+    def test_integer_past_the_digit_limit_is_clipped(self, capsys):
+        code, out, err = run(capsys, ["functional", "system", "r=1", "n=" + "1" * 5000, "m=0"])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert err.startswith("error: bad integer for n: '111")
+
     @pytest.mark.parametrize(
         "argv",
         [
