@@ -157,6 +157,12 @@ class TestCurveCoords:
         entries = curve_coords_symbolic(X, 2)
         assert entries[1] == Poly.monomial(3, Fraction(-1, 3))
 
+    def test_symbolic_lengths_zero_and_one(self):
+        assert curve_coords_symbolic(ONE_PLUS_X, 0) == []
+        assert curve_coords_symbolic(ONE_PLUS_X, 1) == [Poly((0, -1, Fraction(-1, 2)))]
+        with pytest.raises(ValueError, match="context multiplier must be nonzero"):
+            curve_coords_symbolic(Poly.zero(), 0)
+
     def test_symbolic_degrees(self):
         r = Poly((1, 0, 1))
         for i, entry in enumerate(curve_coords_symbolic(r, 5)):

@@ -80,6 +80,31 @@ class TestTruncation:
             assert AnalyticOp(a, r1).apply(r2 * f) == AnalyticOp(a, r1 * r2).apply(f)
 
 
+def ref_images(a, rs, n):
+    """Image i is sum_j r_j (x^(i+j+1) - a^(i+j+1)) / (i+j+1), as dense Fractions."""
+    images = []
+    for i in range(n + 1):
+        dense = [Fraction(0)] * (i + len(rs) + 1)
+        for j, rj in enumerate(rs):
+            dense[i + j + 1] += rj / (i + j + 1)
+            dense[0] -= rj * a ** (i + j + 1) / (i + j + 1)
+        images.append(Poly(tuple(dense)))
+    return images
+
+
+class TestTruncateMatchesReference:
+    @settings(deadline=None, max_examples=60)
+    @given(st.data(), st.integers(0, 5), st.integers(0, 30), st.booleans())
+    def test_images_at_tall_heights(self, data, k, n, at_origin):
+        draw = data.draw
+        r = Poly(tuple(tall_rat(draw) for _ in range(k)) + (tall_rat(draw) or Fraction(1),))
+        a = Fraction(0) if at_origin else tall_rat(draw)
+        op = AnalyticOp(a, r)
+        images = op.truncate(n).images
+        assert list(images) == ref_images(a, r.coeffs, n)
+        assert images == tuple(op.apply(Poly.monomial(i)) for i in range(n + 1))
+
+
 class TestResidual:
     def test_analytic_operators_satisfy_identity(self):
         trunc = AnalyticOp(Fraction(1, 2), Poly((1, 2))).truncate(12)
@@ -254,6 +279,21 @@ class TestDerivedMultiplier:
     def test_needs_two_images(self):
         with pytest.raises(TruncationTooSmall):
             derived_multiplier(TruncOp((Poly.x(),)))
+
+    def test_extra_term_in_one_derivative(self):
+        # R(x^3) + x^2 differentiates to r*x^3 + 2x
+        images = list(AnalyticOp(2, Poly.x()).truncate(4).images)
+        images[3] = images[3] + Poly.monomial(2)
+        with pytest.raises(NotMultiplierType, match="image 3 "):
+            derived_multiplier(TruncOp(tuple(images)))
+
+    def test_right_numerators_over_another_denominator(self):
+        # r = x; the derivative of x^4/12 is x^3/3: r*x^2's numerators over 3
+        images = list(AnalyticOp(0, Poly.x()).truncate(3).images)
+        images[2] = Poly.monomial(4, Fraction(1, 12))
+        assert images[2].derive().num == (Poly.x() * Poly.monomial(2)).num
+        with pytest.raises(NotMultiplierType, match="image 2 "):
+            derived_multiplier(TruncOp(tuple(images)))
 
 
 class TestCanonicalization:
