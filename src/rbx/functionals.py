@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .mpoly import MPoly
-from .operators import TruncOp, TruncationTooSmall, derived_multiplier
+from .operators import AnalyticOp, TruncOp, TruncationTooSmall, derived_multiplier
 from .poly import Poly, RatLike, as_rat, common_root
 
 
@@ -87,7 +87,9 @@ def curve_coords(r: Poly, a: RatLike, length: int) -> FunctionalCoords:
 def curve_coords_symbolic(r: Poly, length: int) -> list[Poly]:
     """Entry i is -I(r*x^i) read as a polynomial in the base point; degree i + deg r + 1."""
     _context(r)
-    return [-(r * Poly.monomial(i)).integrate_at(0) for i in range(length)]
+    if length < 1:
+        return []
+    return [-image for image in AnalyticOp(0, r).truncate(length - 1).images]
 
 
 def functional_residual(fc: FunctionalCoords, f: Poly, g: Poly) -> Fraction:

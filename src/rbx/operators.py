@@ -6,8 +6,10 @@ then integrate with antiderivative vanishing at a".  :class:`TruncOp` is a
 generic linear operator cut off at the monomials ``x^0 .. x^N``, stored as
 the list of their images.
 
-The identity check runs on integer rows: the images are put over one
-common denominator once, and no polynomial is built per monomial pair.
+The canonicalisation path builds no ``Poly`` per monomial: ``truncate``
+writes each image's integer numerators in one pass, the identity check
+loops over the nonzero entries of integer rows over one common
+denominator, and the multiplier is read off rows shifted by n.
 
 ``operator_to_point`` recovers the moduli point from a truncation: the
 multiplier comes from differentiating the images, the base point is read
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, RatLike, as_rat, common_root, rat_text
+from .poly import Poly, RatLike, _normal, as_rat, common_root, rat_text
 
 
 class TruncationTooSmall(ValueError):
@@ -61,10 +63,26 @@ class AnalyticOp:
         return (self.r * f).integrate_at(self.a)
 
     def truncate(self, n: int) -> "TruncOp":
-        """Restrict to the monomials x^0 .. x^n."""
+        """Restrict to the monomials x^0 .. x^n, in one integer pass.
+
+        With a = p/q, r = sum r_j x^j / den, L = lcm(i+1 .. i+k+1), t_j = r_j*L/(i+j+1):
+        image i is sum_j t_j*(q^(i+k+1) x^(i+j+1) - p^(i+1)*p^j*q^(k-j)) / (den*L*q^(i+k+1)).
+        """
         if n < 0:
             raise ValueError("truncation degree must be non-negative")
-        return TruncOp(tuple(self.apply(Poly.monomial(i)) for i in range(n + 1)))
+        rs, k = self.r.num, self.r.degree
+        p, q = self.a.numerator, self.a.denominator
+        mixed = [p**j * q ** (k - j) for j in range(k + 1)]
+        p_pow, q_pow = p, q ** (k + 1)
+        images = []
+        for i in range(n + 1):
+            lcm = math.lcm(*range(i + 1, i + k + 2))
+            ts = [c * (lcm // (i + j + 1)) for j, c in enumerate(rs)]
+            const = -p_pow * sum(t * w for t, w in zip(ts, mixed))
+            num = [const] + [0] * i + [t * q_pow for t in ts]
+            images.append(_normal(num, self.r.den * lcm * q_pow))
+            p_pow, q_pow = p_pow * p, q_pow * q
+        return TruncOp(tuple(images))
 
     def to_json(self) -> dict:
         return {"a": rat_text(self.a), "r": self.r.to_text()}
@@ -108,29 +126,30 @@ def _scaled_residuals(op: TruncOp, weight: Fraction, pairs):
 
     With the images R(x^i) = M[i]/D over one denominator and weight p/q it is
     q*(M[n]*M[m] - sum_i M[n][i]*M[i+m] - sum_i M[m][i]*M[i+n]) - p*D*M[n+m].
+    Each row M[i] is kept as its nonzero ``(index, numerator)`` pairs.
     """
-    den = math.lcm(*(p.den for p in op.images))
-    rows = [[c * (den // p.den) for c in p.num] for p in op.images]
-    top, width = op.n_max, max(map(len, rows))
+    images = op.images
+    den = math.lcm(*(p.den for p in images))
+    rows = [[(i, c * (den // p.den)) for i, c in enumerate(p.num) if c] for p in images]
+    top, width = op.n_max, max(len(p.num) for p in images)
     for n, m in pairs:
         if n > top or m > top or n + m > top:
             raise TruncationTooSmall(f"pair ({n},{m}) is out of reach at truncation {top}")
-        rn, rm = rows[n], rows[m]
-        if len(rn) - 1 + m > top or len(rm) - 1 + n > top:
+        ln, lm = len(images[n].num), len(images[m].num)
+        if ln - 1 + m > top or lm - 1 + n > top:
             raise TruncationTooSmall(f"inner images for pair ({n},{m}) exceed truncation {top}")
-        out = [0] * max(len(rn) + len(rm), width)
-        for i, a in enumerate(rn):
-            if a:
-                for j, b in enumerate(rm):
-                    out[i + j] += a * b
+        out = [0] * max(ln + lm, width)
+        rn, rm = rows[n], rows[m]
+        for i, a in rn:
+            for j, b in rm:
+                out[i + j] += a * b
         for row, shift in ((rn, m), (rm, n)):
-            for i, a in enumerate(row):
-                if a:
-                    for j, b in enumerate(rows[i + shift]):
-                        out[j] -= a * b
+            for i, a in row:
+                for j, b in rows[i + shift]:
+                    out[j] -= a * b
         if weight:
             out = [weight.denominator * c for c in out]
-            for j, b in enumerate(rows[n + m]):
+            for j, b in rows[n + m]:
                 out[j] -= weight.numerator * den * b
         yield out
 
@@ -190,8 +209,9 @@ def derived_multiplier(op: TruncOp) -> Poly:
     if op.n_max < 1:
         raise TruncationTooSmall("multiplier extraction needs at least the images of 1 and x")
     r = op.images[0].derive()
-    for n in range(op.n_max + 1):
-        if op.images[n].derive() != r * Poly.monomial(n):
+    for n, image in enumerate(op.images):
+        row = image.derive()  # must be r's numerators shifted by n, over r's denominator
+        if row.den != r.den or row.num[n:] != r.num or any(row.num[:n]):
             raise NotMultiplierType(
                 f"derivative of image {n} is not the row of a fixed multiplier"
             )
