@@ -165,10 +165,13 @@ def _parse_context(values: dict[str, str]) -> Poly:
 
 
 def integer(text: str) -> int:
-    """An optionally signed run of ASCII digits; argparse names it in its errors."""
-    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
-        raise ValueError(f"bad integer literal {text!r}")
-    return int(text)
+    """An optionally signed run of ASCII digits within int()'s limit; errors quote it clipped."""
+    try:
+        if re.fullmatch(r"[+-]?[0-9]+", text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise argparse.ArgumentTypeError(f"invalid integer value: {_clip(text)}")
 
 
 def _need_int(values: dict[str, str], key: str) -> int:
@@ -176,7 +179,7 @@ def _need_int(values: dict[str, str], key: str) -> int:
         raise InputError(f"missing {key}=<int>")
     try:
         return integer(values[key])
-    except ValueError as exc:
+    except argparse.ArgumentTypeError as exc:
         raise InputError(f"bad integer for {key}: {_clip(values[key])}") from exc
 
 

@@ -206,6 +206,22 @@ class TestFunctional:
         out, err = capsys.readouterr()
         assert out == "" and "invalid integer value" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "op.json", "--degree"],
+            ["functional", "check", "r=x", "--budget"],
+            ["selftest", "--seed"],
+        ],
+    )
+    def test_integer_flag_past_the_digit_limit_is_clipped(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["1" * 5000])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.encode()) < 400
+        assert "invalid integer value: '111" in err
+
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, ["functional", "eliminate", "r=1"])
         assert code == 2
