@@ -80,31 +80,6 @@ class TestTruncation:
             assert AnalyticOp(a, r1).apply(r2 * f) == AnalyticOp(a, r1 * r2).apply(f)
 
 
-def ref_images(a, rs, n):
-    """Image i is sum_j r_j (x^(i+j+1) - a^(i+j+1)) / (i+j+1), as dense Fractions."""
-    images = []
-    for i in range(n + 1):
-        dense = [Fraction(0)] * (i + len(rs) + 1)
-        for j, rj in enumerate(rs):
-            dense[i + j + 1] += rj / (i + j + 1)
-            dense[0] -= rj * a ** (i + j + 1) / (i + j + 1)
-        images.append(Poly(tuple(dense)))
-    return images
-
-
-class TestTruncateMatchesReference:
-    @settings(deadline=None, max_examples=60)
-    @given(st.data(), st.integers(0, 5), st.integers(0, 30), st.booleans())
-    def test_images_at_tall_heights(self, data, k, n, at_origin):
-        draw = data.draw
-        r = Poly(tuple(tall_rat(draw) for _ in range(k)) + (tall_rat(draw) or Fraction(1),))
-        a = Fraction(0) if at_origin else tall_rat(draw)
-        op = AnalyticOp(a, r)
-        images = op.truncate(n).images
-        assert list(images) == ref_images(a, r.coeffs, n)
-        assert images == tuple(op.apply(Poly.monomial(i)) for i in range(n + 1))
-
-
 class TestResidual:
     def test_analytic_operators_satisfy_identity(self):
         trunc = AnalyticOp(Fraction(1, 2), Poly((1, 2))).truncate(12)
@@ -250,6 +225,31 @@ class TestResidualMatchesReference:
         assert outcome(first_rb_failure, zero, 0, 5) == (
             TruncationTooSmall, "pair (0,5) is out of reach at truncation 4"
         )
+
+
+def ref_images(a, rs, n):
+    """Image i is sum_j r_j (x^(i+j+1) - a^(i+j+1)) / (i+j+1), as dense Fractions."""
+    images = []
+    for i in range(n + 1):
+        dense = [Fraction(0)] * (i + len(rs) + 1)
+        for j, rj in enumerate(rs):
+            dense[i + j + 1] += rj / (i + j + 1)
+            dense[0] -= rj * a ** (i + j + 1) / (i + j + 1)
+        images.append(Poly(tuple(dense)))
+    return images
+
+
+class TestTruncateMatchesReference:
+    @settings(deadline=None, max_examples=60)
+    @given(st.data(), st.integers(0, 5), st.integers(0, 30), st.booleans())
+    def test_images_at_tall_heights(self, data, k, n, at_origin):
+        draw = data.draw
+        r = Poly(tuple(tall_rat(draw) for _ in range(k)) + (tall_rat(draw) or Fraction(1),))
+        a = Fraction(0) if at_origin else tall_rat(draw)
+        op = AnalyticOp(a, r)
+        images = op.truncate(n).images
+        assert list(images) == ref_images(a, r.coeffs, n)
+        assert images == tuple(op.apply(Poly.monomial(i)) for i in range(n + 1))
 
 
 class TestOddHalving:
