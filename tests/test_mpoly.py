@@ -57,6 +57,21 @@ class TestSubstitution:
         with pytest.raises(DegreeCapExceeded):
             MPoly.variable(0, 33) * MPoly.variable(1, 32)
 
+    def test_degree_cap_boundary(self):
+        # total degree 64 is allowed, 65 raises and names the degree
+        p = MPoly.variable(0, 30) * MPoly.variable(1, 10) + c2
+        q = MPoly.variable(1, 20) * MPoly.variable(2, 4)
+        assert (p * q).terms == {((0, 30), (1, 30), (2, 4)): 1, ((1, 20), (2, 5)): 1}
+        with pytest.raises(DegreeCapExceeded) as info:
+            p * (q * c0)
+        assert str(info.value) == "product term degree 65 exceeds cap 64"
+
+    def test_degree_cap_names_the_first_term_over_it(self):
+        p = MPoly({((0, 40),): 1, ((0, 50),): 1})
+        with pytest.raises(DegreeCapExceeded) as info:
+            p * MPoly.variable(1, 30)
+        assert str(info.value) == "product term degree 70 exceeds cap 64"
+
 
 class TestEvaluation:
     def test_curve_identity(self):
@@ -71,11 +86,11 @@ class TestEvaluation:
             (c0 + c1).eval_at({0: 1})
 
 
-def ref_to_text(p):
-    """Text form with terms sorted by dense exponent vectors."""
-    if not p.terms:
+def ref_to_text(terms):
+    """Text form of a term map, terms sorted by dense exponent vectors."""
+    if not terms:
         return "0"
-    width = max(p.variables(), default=-1) + 1
+    width = max((var for key in terms for var, _ in key), default=-1) + 1
 
     def dense_key(key):
         dense = [0] * width
@@ -84,8 +99,8 @@ def ref_to_text(p):
         return (-sum(dense), [-e for e in dense])
 
     parts = []
-    for key in sorted(p.terms, key=dense_key):
-        coef = p.terms[key]
+    for key in sorted(terms, key=dense_key):
+        coef = terms[key]
         mag = abs(coef)
         vars_part = "*".join(f"c{v}" if e == 1 else f"c{v}^{e}" for v, e in key)
         body = str(mag) if not key else vars_part if mag == 1 else f"{mag}*{vars_part}"
@@ -97,7 +112,7 @@ def ref_to_text(p):
 class TestTextForm:
     @given(mpolys(max_vars=6, max_terms=8))
     def test_matches_dense_reference(self, p):
-        assert p.to_text() == ref_to_text(p)
+        assert p.to_text() == ref_to_text(p.terms)
 
     def test_graded_lex_order(self):
         p = MPoly.variable(0, 2) + c1 * 2
@@ -117,3 +132,107 @@ class TestTextForm:
     def test_mixed_terms(self):
         p = c0 * c1 + MPoly.constant(3) - MPoly.variable(2)
         assert p.to_text() == "c0*c1 - c2 + 3"
+
+
+# -- differential test against a plain dict[Key, Fraction] reference ------------
+
+coefs = st.one_of(
+    rationals,
+    st.fractions(max_denominator=10**12),
+    st.integers(-(10**20), 10**20),
+)
+
+
+@st.composite
+def raw_terms(draw, max_vars=3, max_exp=3, max_terms=5):
+    """Term maps with unsorted keys, repeated variables, zero exponents and zero coefficients."""
+    keys = st.lists(
+        st.tuples(st.integers(0, max_vars), st.integers(0, max_exp)), max_size=3
+    ).map(tuple)
+    return draw(st.dictionaries(keys, st.one_of(st.just(0), coefs), max_size=max_terms))
+
+
+def ref_key(pairs):
+    merged = {}
+    for var, exp in pairs:
+        if exp:
+            merged[var] = merged.get(var, 0) + exp
+    return tuple(sorted(merged.items()))
+
+
+def ref_nonzero(terms):
+    return {key: coef for key, coef in terms.items() if coef}
+
+
+def ref_terms(raw):
+    out = {}
+    for key, coef in raw.items():
+        k = ref_key(key)
+        out[k] = out.get(k, Fraction(0)) + Fraction(coef)
+    return ref_nonzero(out)
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for key, coef in b.items():
+        out[key] = out.get(key, Fraction(0)) + coef
+    return ref_nonzero(out)
+
+
+def ref_scale(a, q):
+    return ref_nonzero({key: coef * q for key, coef in a.items()})
+
+
+def ref_mul(a, b):
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = ref_key(k1 + k2)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return ref_nonzero(out)
+
+
+def ref_eval(a, assign):
+    total = Fraction(0)
+    for key, coef in a.items():
+        for var, exp in key:
+            coef *= assign[var] ** exp
+        total += coef
+    return total
+
+
+class TestMatchesFractionReference:
+    """Every operation agrees with a plain ``dict[Key, Fraction]`` reference."""
+
+    @staticmethod
+    def check(p, ref):
+        assert p.terms == ref
+        assert all(type(coef) is Fraction for coef in p.terms.values())
+        assert p.to_text() == ref_to_text(ref)
+        assert p.is_zero() is (not ref) and bool(p) is bool(ref)
+        assert p == MPoly(ref)
+
+    @given(raw_terms(), raw_terms())
+    def test_ring_operations(self, a, b):
+        p, q = MPoly(a), MPoly(b)
+        ra, rb = ref_terms(a), ref_terms(b)
+        self.check(p, ra)
+        self.check(p + q, ref_add(ra, rb))
+        self.check(p - q, ref_add(ra, ref_scale(rb, Fraction(-1))))
+        self.check(-p, ref_scale(ra, Fraction(-1)))
+        self.check(p * q, ref_mul(ra, rb))
+        self.check(p - p, {})
+        assert (p == q) is (ra == rb)
+        assert (p + q) - q == p and p * q == q * p
+
+    @given(raw_terms(), st.one_of(st.just(0), st.just(Fraction(0)), coefs))
+    def test_scalar_products(self, a, s):
+        p, ra = MPoly(a), ref_terms(a)
+        self.check(p * s, ref_scale(ra, Fraction(s)))
+        self.check(s * p, ref_scale(ra, Fraction(s)))
+
+    @given(raw_terms(), st.lists(coefs, min_size=4, max_size=4))
+    def test_eval_at(self, a, values):
+        assign = dict(enumerate(values))
+        expected = ref_eval(ref_terms(a), {var: Fraction(v) for var, v in assign.items()})
+        assert MPoly(a).eval_at(assign) == expected
