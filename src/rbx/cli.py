@@ -292,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("functional", help="coordinate system, elimination and membership checks")
     p.add_argument("subcommand", choices=["system", "eliminate", "reduce", "check"])
     p.add_argument("params", nargs="*", help="key=value parameters: r=<poly> n=<int> m=<int> t=<int>")
-    p.add_argument("--budget", type=integer, default=8, help="membership check degree budget")
+    p.add_argument("--budget", type=integer, default=None,
+                   help="membership check degree budget (default: the exact check)")
     p.set_defaults(func=_cmd_functional)
 
     p = sub.add_parser("act", help="apply a word of generators to an operator or tuple")

@@ -18,9 +18,11 @@ The curve of functionals realised by an actual integration base point a is
 Membership rests on the paper's classification (PAPER.md): an injective
 weight-zero Rota-Baxter operator on Q[x] whose head lies on the curve of r
 is analytically modeled, R = I_a(r*), so its functional solves every
-coordinate equation.  ``satisfies_system`` therefore accepts a head as soon
-as ``recover_base_point`` finds its base point, and runs the finite check
-only off the curve, where a small budget can still accept.
+coordinate equation.  So membership is exactly ``recover_base_point``
+finding a base point, which is what ``satisfies_system`` decides by default
+(``budget=None``).  With an explicit budget it accepts a head on the curve
+the same way and runs the finite check only off the curve, where a small
+budget can still accept.
 """
 
 from __future__ import annotations
@@ -178,25 +180,29 @@ def vanishes_on_curve(r: Poly, n: int, m: int) -> bool:
     return not _equation(rs, coords.__getitem__, n, m)
 
 
-def satisfies_system(r: Poly, head: Sequence[RatLike], budget: int = 8) -> bool:
-    """Decide membership of a coordinate head in the solution set, at a finite budget.
+def satisfies_system(r: Poly, head: Sequence[RatLike], budget: "int | None" = None) -> bool:
+    """Decide membership of a coordinate head in the solution set.
 
-    The head (length deg r + 1) extends uniquely by the elimination step;
-    membership holds iff every coordinate equation with n, m <= budget is
-    satisfied by the extension.  A head on the curve satisfies them all at
-    every budget (the classification, PAPER.md), so the base point decides
-    it; off the curve the pairs are checked in order of n + m, extending
-    only as far as each needs, and the first failure decides.  The pairs
-    with n = 0 or m = 0 are the ones the elimination steps solve.
+    The head (length deg r + 1) extends uniquely by the elimination step.
+    With ``budget=None`` the answer is exact: the head is a member iff it
+    lies on the curve (the classification, PAPER.md), that is iff
+    ``recover_base_point`` finds its base point.  With a budget, membership
+    holds iff every coordinate equation with n, m <= budget is satisfied by
+    the extension.  A head on the curve satisfies them all at every budget,
+    so the base point decides it; off the curve the pairs are checked in
+    order of n + m, extending only as far as each needs, and the first
+    failure decides.  The pairs with n = 0 or m = 0 are the ones the
+    elimination steps solve.
     """
     rs, k = _context(r)
     if len(head) != k + 1:
         raise ValueError(f"head must have length {k + 1}, got {len(head)}")
-    if budget < 0:
+    if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     coords = [as_rat(v) for v in head]
-    if recover_base_point(r, coords) is not None:
-        return True
+    on_curve = recover_base_point(r, coords) is not None
+    if on_curve or budget is None:
+        return on_curve
     for s in range(2, 2 * budget + 1):
         _extend(rs, coords, s + k + 1)
         for n in range(max(1, s - budget), s // 2 + 1):

@@ -1,9 +1,12 @@
 """Sparse multivariate polynomials over the rationals in variables c0, c1, ...
 
-Terms map canonical exponent keys (sorted tuples of ``(variable, exponent)``
-pairs with positive exponents) to nonzero rational coefficients; the zero
-polynomial is the empty map.  Values are immutable by convention and all
-operations are pure.
+A polynomial is integer numerators over one positive denominator, in lowest
+terms: ``num`` maps canonical exponent keys (sorted tuples of ``(variable,
+exponent)`` pairs with positive exponents) to nonzero integers, ``den`` is
+coprime to them all, zero is ``({}, 1)``, and ``terms`` is the derived map to
+``Fraction`` coefficients.  The form is canonical, so equality compares
+``(num, den)``; the ring operations run on the integers and reduce once per
+result.  Values are immutable by convention and all operations are pure.
 
 Products enforce a total-degree cap of 64 so a runaway elimination raises
 :class:`DegreeCapExceeded` instead of hanging.
@@ -49,22 +52,27 @@ def _key_degree(key: Key) -> int:
 class MPoly:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, terms: Mapping[Key, RatLike] | None = None):
+    def __new__(cls, terms: Mapping[Key, RatLike] | None = None) -> "MPoly":
         out: dict[Key, Fraction] = {}
-        if terms:
-            for key, coef in terms.items():
-                q = as_rat(coef)
-                if q == 0:
-                    continue
-                k = _canonical_key(key)
-                q = out.get(k, Fraction(0)) + q if k in out else q
-                if q == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = q
-        self.terms = out
+        for key, coef in (terms or {}).items():
+            q = as_rat(coef)
+            if q == 0:
+                continue
+            k = _canonical_key(key)
+            q = out.get(k, 0) + q
+            if q:
+                out[k] = q
+            else:
+                del out[k]
+        den = math.lcm(*(q.denominator for q in out.values()))
+        return _normal({k: q.numerator * (den // q.denominator) for k, q in out.items()}, den)
+
+    @property
+    def terms(self) -> dict[Key, Fraction]:
+        """Map from exponent key to nonzero coefficient."""
+        return {key: Fraction(c, self.den) for key, c in self.num.items()}
 
     # -- constructors ----------------------------------------------------
 
@@ -78,44 +86,45 @@ class MPoly:
 
     @classmethod
     def variable(cls, index: int, exp: int = 1) -> "MPoly":
-        return cls({((index, exp),): 1})
+        return _normal({_canonical_key(((index, exp),)): 1}, 1)
 
     # -- structure -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def variables(self) -> set[int]:
-        return {var for key in self.terms for var, _ in key}
+        return {var for key in self.num for var, _ in key}
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "MPoly") -> "MPoly":
         if not isinstance(other, MPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for key, coef in other.terms.items():
-            acc = out.get(key, Fraction(0)) + coef
-            if acc == 0:
-                out.pop(key, None)
-            else:
+        a, b, den = self.num, other.num, self.den
+        if den != other.den:
+            den = math.lcm(den, other.den)
+            a = {k: c * (den // self.den) for k, c in a.items()}
+            b = {k: c * (den // other.den) for k, c in b.items()}
+        out = dict(a)
+        for key, c in b.items():
+            acc = out.get(key, 0) + c
+            if acc:
                 out[key] = acc
-        result = MPoly.__new__(MPoly)
-        result.terms = out
-        return result
+            else:
+                del out[key]
+        return _normal(out, den)
 
     def __neg__(self) -> "MPoly":
-        result = MPoly.__new__(MPoly)
-        result.terms = {k: -c for k, c in self.terms.items()}
-        return result
+        return _normal({k: -c for k, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         if not isinstance(other, MPoly):
@@ -124,27 +133,27 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, MPoly):
-            out: dict[Key, Fraction] = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
+            out: dict[Key, int] = {}
+            for k1, c1 in self.num.items():
+                for k2, c2 in other.num.items():
                     key = _canonical_key(k1 + k2)
                     if _key_degree(key) > _DEGREE_CAP:
                         raise DegreeCapExceeded(
                             f"product term degree {_key_degree(key)} exceeds cap {_DEGREE_CAP}"
                         )
-                    acc = out.get(key, Fraction(0)) + c1 * c2
-                    if acc == 0:
-                        out.pop(key, None)
-                    else:
+                    acc = out.get(key, 0) + c1 * c2
+                    if acc:
                         out[key] = acc
-            result = MPoly.__new__(MPoly)
-            result.terms = out
-            return result
+                    else:
+                        del out[key]
+            return _normal(out, self.den * other.den)
         if isinstance(other, (Fraction, int)):
             q = as_rat(other)
-            result = MPoly.__new__(MPoly)
-            result.terms = {} if q == 0 else {k: c * q for k, c in self.terms.items()}
-            return result
+            if q == 0:
+                return MPoly()
+            return _normal(
+                {k: c * q.numerator for k, c in self.num.items()}, self.den * q.denominator
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -173,9 +182,10 @@ class MPoly:
             # the sentinel makes an exhausted key compare as all zeros
             return (-_key_degree(key), tuple((var, -exp) for var, exp in key) + ((math.inf, 0),))
 
+        num, den = self.num, self.den
         return _join_terms(
-            (self.terms[key], "*".join(f"c{v}" if e == 1 else f"c{v}^{e}" for v, e in key))
-            for key in sorted(self.terms, key=sort_key)
+            (Fraction(num[key], den), "*".join(f"c{v}" if e == 1 else f"c{v}^{e}" for v, e in key))
+            for key in sorted(num, key=sort_key)
         )
 
     def __str__(self) -> str:
@@ -183,3 +193,12 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({self.to_text()!r})"
+
+
+def _normal(num: dict[Key, int], den: int) -> MPoly:
+    """The MPoly num/den (den > 0, no zero numerator) brought to lowest terms."""
+    g = math.gcd(den, *num.values())
+    p = object.__new__(MPoly)
+    p.num = {k: c // g for k, c in num.items()} if g != 1 else num
+    p.den = den // g
+    return p

@@ -161,6 +161,15 @@ class TestFunctional:
             {"member_Mr": True, "a": None},
         ]
 
+    def test_check_is_exact_by_default(self, capsys):
+        # with no --budget every bump of the curve head of x^4 + 3 is rejected
+        code, out, err = run(capsys, ["functional", "check", "r=x^4+3"])
+        assert code == 0 and err == "check passed\n"
+        verdicts = [json.loads(line) for line in out.strip().splitlines()]
+        assert verdicts[:6] == [{"member_Mr": True, "a": "0"}] + [
+            {"member_Mr": False, "a": None}
+        ] * 5
+
     def test_huge_index_system(self, capsys):
         code, out, _ = run(capsys, ["functional", "system", "r=x", "n=100000000", "m=0"])
         assert code == 0

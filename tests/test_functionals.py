@@ -444,6 +444,32 @@ class TestMembership:
         assert satisfies_system(r, bumped, 1)
         assert not satisfies_system(r, bumped, 2)
 
+    def test_default_is_exact(self):
+        # the bump that budgets 0 and 1 accept is rejected without a budget
+        r = Poly.from_text("x^4+3")
+        head = curve_coords(r, 0, 5).c
+        assert satisfies_system(r, head)
+        assert not satisfies_system(r, (head[0] + 1,) + head[1:])
+        assert satisfies_system(r, (head[0] + 1,) + head[1:], None) is False
+
+    @settings(deadline=None)
+    @given(
+        multipliers(max_deg=4),
+        st.sampled_from(["curve", "bumped", "random"]),
+        small_rats,
+        st.lists(small_rats, min_size=5, max_size=5),
+        st.integers(0, 4),
+    )
+    def test_default_is_the_base_point_decision(self, r, kind, a, entries, j):
+        k = r.degree
+        head = curve_coords(r, a, k + 1).c
+        if kind == "bumped":
+            j = min(j, k)
+            head = head[:j] + (head[j] + (entries[j] or 1),) + head[j + 1 :]
+        elif kind == "random":
+            head = tuple(entries[: k + 1])
+        assert satisfies_system(r, head) is (recover_base_point(r, head) is not None)
+
     def test_budget_zero_accepts_every_head(self):
         # the only pair (0, 0) is the one the step for c_(k+1) solves
         rng = random.Random(11)

@@ -1,5 +1,6 @@
 """Sparse multivariate arithmetic, the degree cap, evaluation and text form."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -236,3 +237,43 @@ class TestMatchesFractionReference:
         assign = dict(enumerate(values))
         expected = ref_eval(ref_terms(a), {var: Fraction(v) for var, v in assign.items()})
         assert MPoly(a).eval_at(assign) == expected
+
+
+class TestCanonicalForm:
+    """Integer numerators over one positive denominator, in lowest terms."""
+
+    @staticmethod
+    def check(p):
+        assert p.den > 0
+        assert math.gcd(p.den, *p.num.values()) == 1
+        assert all(type(c) is int and c for c in p.num.values())
+        assert p.terms == {key: Fraction(c, p.den) for key, c in p.num.items()}
+
+    @given(raw_terms(), raw_terms(), st.one_of(st.just(0), coefs))
+    def test_every_result_is_in_lowest_terms(self, a, b, s):
+        p, q = MPoly(a), MPoly(b)
+        for result in (p, q, p + q, p - q, -p, p * q, p * s, s * p, p - p):
+            self.check(result)
+
+    def test_zero(self):
+        for z in (MPoly(), MPoly.zero(), c0 - c0, c0 * 0, c0 * Fraction(0), MPoly({(): 0})):
+            assert (z.num, z.den) == ({}, 1)
+
+    def test_routes_to_one_polynomial_compare_equal(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        p = c0 * half + c0 * third
+        assert p == MPoly({((0, 1),): Fraction(5, 6)})
+        assert (p.num, p.den) == ({((0, 1),): 5}, 6)
+        q = (c0 + c1) * Fraction(2, 3) - c1 * Fraction(2, 3)
+        assert q == c0 * Fraction(4, 6) == MPoly({((0, 1),): "2/3"})
+        assert (q.num, q.den) == ({((0, 1),): 2}, 3)
+        assert c0 * 2 * half == c0 and (c0 * 2 * half).den == 1
+        assert MPoly({((0, 1), (0, 1)): 1, ((0, 2),): 1}) == MPoly.variable(0, 2) * 2
+
+    def test_variable(self):
+        assert (c0.num, c0.den) == ({((0, 1),): 1}, 1)
+        assert MPoly.variable(3, 0) == MPoly.constant(1)
+        with pytest.raises(ValueError, match="variable indices must be non-negative"):
+            MPoly.variable(-1)
+        with pytest.raises(ValueError, match="exponents must be non-negative"):
+            MPoly.variable(0, -1)
