@@ -448,9 +448,10 @@ class TestMembership:
         # the bump that budgets 0 and 1 accept is rejected without a budget
         r = Poly.from_text("x^4+3")
         head = curve_coords(r, 0, 5).c
-        assert satisfies_system(r, head)
-        assert not satisfies_system(r, (head[0] + 1,) + head[1:])
-        assert satisfies_system(r, (head[0] + 1,) + head[1:], None) is False
+        bumped = (head[0] + 1,) + head[1:]
+        assert satisfies_system(r, head) is True
+        assert satisfies_system(r, bumped) is False
+        assert satisfies_system(r, bumped, 1) is True
 
     @settings(deadline=None)
     @given(
