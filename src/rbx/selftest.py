@@ -296,6 +296,7 @@ def criterion_distinct_tuples(rng: random.Random) -> str:
             dst = _distinct_tuple(rng, m, a, force_dependent=(i % 3 == 0))
             word = solve_distinct_tuple(src, dst)
             _require(apply_word_tuple(word, src) == dst)
+            _require(len(word) <= 9 * m - 4)
             total += 1
     return f"{total} distinct-tuple words verified, dependent inputs included"
 

@@ -14,6 +14,8 @@ the source's diagonal tuple through an auxiliary pattern onto the
 destination's own pattern, finishes with one fiber move per member there and
 undoes the destination's diagonalisation.  A move that changes nothing is
 left out, so a word between independent m-tuples has at most 5m generators.
+A distinct tuple is first made independent by one squared shear per missing
+rank, so a word between distinct m-tuples has at most 9m - 4.
 
 Points are always scanned deterministically, evaluation points through
 0, 1, 2, ... and the squared-shear point through 0, 1, -1, 2, -2, ..., so a
@@ -86,8 +88,6 @@ class _DiagonalTuple:
         m = len(self.ops)
         if len(self.base_points) != m or len(self.values) != m:
             raise ValueError("base points, values and operators must have equal length")
-        if len(set(self.base_points)) != m:
-            raise ValueError("base points must be pairwise distinct")
         if any(c == 0 for c in self.values):
             raise ZeroFiberValue("diagonal values must be nonzero")
         _shared_base(self.ops)
@@ -109,9 +109,9 @@ def _shared_base(ops: Sequence[AnalyticOp]) -> Fraction:
     return a
 
 
-def _is_independent(ops: Sequence[AnalyticOp]) -> bool:
-    width = max(len(op.r.num) for op in ops)
-    return linalg.rank([[op.r.coeff(j) for j in range(width)] for op in ops]) == len(ops)
+def _rank(rs: Sequence[Poly]) -> int:
+    width = max(len(r.num) for r in rs)
+    return linalg.rank([[r.coeff(j) for j in range(width)] for r in rs])
 
 
 def _fiber_move(src: AnalyticOp, dst: AnalyticOp, b: Fraction) -> Shear:
@@ -292,50 +292,71 @@ def solve_tuple_independent(
     return word
 
 
-def _independent(ops: Sequence[AnalyticOp]) -> tuple[Word, list[AnalyticOp]]:
-    """Unverified :func:`make_independent`: the word and the images of ``ops``.
+def _scan(n: int) -> list[Fraction]:
+    """The first n points of 0, 1, -1, 2, -2, ..."""
+    return [Fraction((k + 1) // 2 * (-1) ** (k + 1)) for k in range(n)]
 
-    The first m-1 images are the canonical monomials by construction, so
-    only the last member is carried through each new segment.
+
+def _squared_shear(rs: Sequence[Poly], rank: int) -> "ShearSquared | None":
+    """The squared shear along x^D - b^D raising the rank of ``rs``, at the first scan point b.
+
+    D - 1 is the top degree, so the shear adds the column (r_i(b)^2)_i at x^D:
+    the rank rises, by one, iff q_l(b) = sum_i l_i r_i(b)^2 != 0 for a left-kernel
+    vector l.  As deg q_l <= 2D - 2, 2D - 1 points decide unless all q_l = 0.
     """
+    d = max(len(r.num) for r in rs)
+    for b in _scan(2 * d - 1):
+        if linalg.rank([[r.coeff(j) for j in range(d)] + [r(b) ** 2] for r in rs]) > rank:
+            return ShearSquared(b, Poly.monomial(d) - Poly.constant(b**d))
+    return None
+
+
+def _rank_step(rs: Sequence[Poly], rank: int) -> Word:
+    """A squared shear raising the rank of distinct ``rs`` by one, after a plain shear if needed.
+
+    Every q_l can vanish: at 0, r = (-4x^2+4x-6, -6x^2-3, -8x^2+8x-4, -6x^2+4x-5)
+    has rank 3, and l = (1/2, 1/3, 1/4, -1) kills sum_i l_i r_i and q_l.  A
+    plain shear along s = x^D - c^D is linear and invertible on the tuple, so
+    l stays in the left kernel and q_l becomes 2s * P(c, x), where
+    P(y, x) = sum_i l_i r_i(y) r_i(x).  Take l of least support.  Two members
+    r_j = t*r_i, t not 0 or 1, give q_l = t(1 - t) r_i^2 != 0, so the support
+    is r_0 = sum_{i<=k} u_i r_i, k >= 2, r_1 .. r_k independent, all u_i != 0:
+    in the basis r_i(y) r_j(x), P has the coefficient -u_i u_j at i != j.  Of
+    degree below D in y, P(c, x) is nonzero at one of the first D points c.
+    """
+    gen = _squared_shear(rs, rank)
+    if gen is not None:
+        return (gen,)
+    d = max(len(r.num) for r in rs)
+    for c in _scan(d):
+        s = Poly.monomial(d) - Poly.constant(c**d)
+        gen = _squared_shear([r + s * r(c) for r in rs], rank)
+        if gen is not None:
+            return Shear(c, s), gen
+    raise VerificationFailed("no shear raises the rank of the tuple")
+
+
+def _independent(ops: Sequence[AnalyticOp]) -> tuple[Word, list[AnalyticOp]]:
+    """Unverified :func:`make_independent`: the word and the images of ``ops``."""
     m = len(ops)
     _shared_base(ops)
     if len(set(ops)) != m:
         raise DuplicateOperators("tuple members must be pairwise distinct")
-    if _is_independent(ops):
-        return (), list(ops)
-    a = ops[0].a
-    word, head = _independent(ops[: m - 1])
-    canonical = [AnalyticOp(a, Poly.monomial(i)) for i in range(m - 1)]
-    word += _between(head, canonical)
-    cur = canonical + [apply_word(word, ops[-1])]
-    if not _is_independent(cur):
-        # r lies in the span of 1, x, ..., x^(m-2).  The squared shear along
-        # s = x^m - b^m sends x^i to x^i + b^(2i)*s and r to r + r(b)^2*s, so
-        # the images are independent exactly when r(b)^2 != r(b^2).  The
-        # difference r(x)^2 - r(x^2) has degree at most 2m-4, so one of the
-        # first 2m-3 scan points works unless it is the zero polynomial; by
-        # comparing the top two terms that needs r = x^j, a duplicate of a
-        # canonical member.  A broken invariant reaches the rank check below.
-        r = cur[-1].r
-        scan = [0] + [sign * t for t in range(1, m - 1) for sign in (1, -1)]
-        b = next((b for b in scan if r(b) ** 2 != r(b * b)), scan[-1])
-        gen = ShearSquared(b, Poly.monomial(m) - Poly.constant(b**m))
-        word += (gen,)
-        cur = [gen.apply(op) for op in cur]
-    _verify(_is_independent(cur), "tuple is still dependent after the squared shear")
+    word: Word = ()
+    cur = list(ops)
+    for rank in range(_rank([op.r for op in ops]), m):
+        step = _rank_step([op.r for op in cur], rank)
+        word += step
+        cur = apply_word_tuple(step, cur)
+        _verify(_rank([op.r for op in cur]) == rank + 1, "a rank step did not raise the rank")
     return word, cur
 
 
 def make_independent(ops: Sequence[AnalyticOp]) -> Word:
-    """Word of shears and squared shears making a distinct tuple independent.
+    """Word of at most 2(m - rank) generators making a distinct tuple independent.
 
-    Recursively canonicalises the first m-1 members to the monomial
-    multipliers 1, x, ..., x^(m-2); a dependent last member then lies in
-    their span and a single squared shear along x^m - b^m breaks the
-    dependence, at the first b of the scan 0, 1, -1, 2, -2, ... with
-    r(b)^2 != r(b^2).  The resulting rank is checked.  Recursion level
-    k = 1 .. m-1 adds at most 5k + 1 generators.
+    One squared shear per missing rank, a plain shear first only in the
+    degenerate case; the rank after each step is checked.
     """
     word, images = _independent(ops)
     _verify(apply_word_tuple(word, ops) == images, "independence word misses its images")
@@ -348,7 +369,8 @@ def solve_distinct_tuple(
     """Word carrying any distinct tuple to any other, memberwise.
 
     Makes both sides independent, solves between the independent images and
-    undoes the destination preparation: at most 5m^2 + 2m - 2 generators.
+    undoes the destination preparation: at most 2(m - 1) + 5m + 2(m - 1)
+    = 9m - 4 generators.
     """
     m = len(src)
     if len(dst) != m:
@@ -357,6 +379,6 @@ def solve_distinct_tuple(
     word_src, src_ind = _independent(src)
     word_dst, dst_ind = _independent(dst)
     word = word_src + _between(src_ind, dst_ind) + inverse_word(word_dst)
-    _verify(len(word) <= 5 * m * m + 2 * m - 2, "distinct-tuple word exceeds its length cap")
+    _verify(len(word) <= 9 * m - 4, "distinct-tuple word exceeds its length cap")
     _verify(apply_word_tuple(word, src) == list(dst), "distinct-tuple word misses its target")
     return word

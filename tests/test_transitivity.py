@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rbx import linalg, selftest, transitivity
 from rbx.actions import Dilate, Shear, ShearSquared, Translate, apply_word, apply_word_tuple
@@ -123,6 +123,8 @@ class TestSolveSingle:
             "from rbx.poly import Poly",
             "consts = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.constant(2))]",
             "monos = [AnalyticOp(0, Poly.x()), AnalyticOp(0, Poly.monomial(2))]",
+            "degenerate = [AnalyticOp(0, Poly(cs)) for cs in",
+            "              ((-6, 4, -4), (-3, 0, -6), (-4, 8, -8), (-5, 4, -6))]",
             "cases = [",
             "    ('single', '_fiber_move', lambda src, dst, b: actions.Shear(b, Poly((-b, 1))),",
             "     lambda: transitivity.solve_single(monos[0], AnalyticOp(1, Poly((2, 0, 1))))),",
@@ -130,6 +132,8 @@ class TestSolveSingle:
             "     lambda: transitivity.solve_tuple_independent([consts[0], monos[0]], monos)),",
             "    ('make_independent', 'ShearSquared', lambda b, s: actions.ShearSquared(b, Poly.zero()),",
             "     lambda: transitivity.make_independent(consts)),",
+            "    ('fallback', 'Shear', lambda b, s: actions.Shear(b, Poly.zero()),",
+            "     lambda: transitivity.make_independent(degenerate)),",
             "    ('distinct', 'inverse_word', lambda word: (),",
             "     lambda: transitivity.solve_distinct_tuple(consts, monos)),",
             "]",
@@ -151,7 +155,7 @@ class TestSolveSingle:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             f"optimize 1 raised {case}"
-            for case in ("single", "independent", "make_independent", "distinct")
+            for case in ("single", "independent", "make_independent", "fallback", "distinct")
         ]
 
 
@@ -337,45 +341,25 @@ class TestMakeIndependent:
             make_independent([op, op])
 
     def test_dependent_no_constant_term(self):
-        # last member x + x^2: the probe at 0 degenerates, the probe at 1
-        # fires (value 2)
-        ops = [
-            AnalyticOp(0, Poly.one()),
-            AnalyticOp(0, Poly.x()),
-            AnalyticOp(0, Poly.monomial(2)),
-            AnalyticOp(0, Poly((0, 1, 1))),
-        ]
-        word = make_independent(ops)
-        assert _rank(apply_word_tuple(word, ops)) == 4
-        assert _scan_point(word, ops) == 1
+        # last member x + x^2: q = x^2 + x^4 - (x + x^2)^2 = -2x^3 vanishes at 0,
+        # so the squared shear along x^3 - 1 at 1 raises the rank
+        ops = [AnalyticOp(0, r) for r in (Poly.one(), Poly.x(), Poly.monomial(2), Poly((0, 1, 1)))]
+        assert make_independent(ops) == (ShearSquared(1, Poly((-1, 0, 0, 1))),)
 
     def test_probes_at_zero_and_one_degenerate(self):
-        # last member 2x - x^2 evaluates to 0 at 0 and 1 at 1, so only the
-        # probe at -1 (value squared 9 vs 1) breaks the dependence
-        ops = [
-            AnalyticOp(0, Poly.one()),
-            AnalyticOp(0, Poly.x()),
-            AnalyticOp(0, Poly.monomial(2)),
-            AnalyticOp(0, Poly((0, 2, -1))),
-        ]
-        word = make_independent(ops)
-        assert _rank(apply_word_tuple(word, ops)) == 4
-        assert _scan_point(word, ops) == -1
+        # last member 2x - x^2: q = 2x^2 - x^4 - (2x - x^2)^2 = -2x^2 (1 - x)^2
+        # vanishes at 0 and 1, so the scan goes on to -1
+        ops = [AnalyticOp(0, r) for r in (Poly.one(), Poly.x(), Poly.monomial(2), Poly((0, 2, -1)))]
+        assert make_independent(ops) == (ShearSquared(-1, Poly((1, 0, 0, 1))),)
 
     def test_scan_passes_minus_one(self):
-        # last member 3x - 2x^3: r(b)^2 = r(b^2) at 0, 1 and -1 (r(b) is 0, 1
-        # and -1, r(b^2) is 0, 1 and 1), so the scan goes on to 2
+        # last member 3x - 2x^3: q = -6x^2 (1 - x^2)^2 vanishes at 0, 1 and -1,
+        # so the scan goes on to 2, along x^4 - 16
         ops = [
-            AnalyticOp(0, Poly.one()),
-            AnalyticOp(0, Poly.x()),
-            AnalyticOp(0, Poly.monomial(2)),
-            AnalyticOp(0, Poly.monomial(3)),
-            AnalyticOp(0, Poly((0, 3, 0, -2))),
+            AnalyticOp(0, r)
+            for r in (Poly.one(), Poly.x(), Poly.monomial(2), Poly.monomial(3), Poly((0, 3, 0, -2)))
         ]
-        word = make_independent(ops)
-        assert _rank(apply_word_tuple(word, ops)) == 5
-        assert sum(isinstance(gen, ShearSquared) for gen in word) == 1
-        assert _scan_point(word, ops) == 2
+        assert make_independent(ops) == (ShearSquared(2, Poly((-16, 0, 0, 0, 1))),)
 
     def test_random_dependent_tuples(self):
         rng = random.Random(89)
@@ -390,11 +374,52 @@ class TestMakeIndependent:
                 if len(set(ops)) < m:
                     continue
                 word = make_independent(ops)
+                assert word == ref_independence_word(ops)
                 assert _rank(apply_word_tuple(word, ops)) == m
-                if _rank(ops[:-1]) == m - 1:
-                    # an independent head adds no squared shear of its own
-                    assert sum(isinstance(gen, ShearSquared) for gen in word) == 1
-                _scan_point(word, ops)
+                assert all(isinstance(gen, ShearSquared) for gen in word)
+                assert len(word) == m - _rank(ops)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_matches_brute_force_reference(self, data):
+        # tuples of rank k <= m <= 5: k free members, the rest small integer
+        # combinations of them
+        m = data.draw(st.integers(1, 5))
+        k = data.draw(st.integers(1, m))
+        free = data.draw(st.lists(small_int_polys, min_size=k, max_size=k))
+        combos = data.draw(
+            st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                     min_size=m - k, max_size=m - k)
+        )
+        rs = free + [sum((r * c for r, c in zip(free, cs)), Poly.zero()) for cs in combos]
+        assume(all(rs) and len(set(rs)) == m)
+        a = data.draw(st.integers(-2, 2))
+        ops = [AnalyticOp(a, r) for r in rs]
+        word = make_independent(ops)
+        assert word == ref_independence_word(ops)
+        if not any(type(gen) is Shear for gen in word):
+            assert len(word) == m - _rank(ops)
+
+    def test_degenerate_tuple_takes_a_plain_shear_first(self):
+        # sum l_i r_i and sum l_i r_i^2 both vanish for l = (1/2, 1/3, 1/4, -1):
+        # no squared shear alone raises the rank, so a plain shear comes first
+        ops = [AnalyticOp(0, r) for r in DEGENERATE]
+        assert _rank(ops) == 3
+        for b in SCAN[:11]:
+            for d in (3, 4):
+                gen = ShearSquared(b, Poly.monomial(d) - Poly.constant(b**d))
+                assert _rank(apply_word_tuple([gen], ops)) == 3
+        word = make_independent(ops)
+        assert [type(gen) for gen in word] == [Shear, ShearSquared]
+        assert word == ref_independence_word(ops)
+        assert _rank(apply_word_tuple(word, ops)) == 4
+
+    def test_no_rank_step_raises(self, monkeypatch):
+        # the proof says a plain shear always helps; a broken scan is refused
+        monkeypatch.setattr(transitivity, "_squared_shear", lambda rs, rank: None)
+        ops = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.constant(2))]
+        with pytest.raises(VerificationFailed, match="no shear raises the rank"):
+            make_independent(ops)
 
 
 class TestSolveDistinct:
@@ -475,8 +500,8 @@ class TestWordLength:
                 if m > 1:
                     src[-1] = AnalyticOp(a, src[0].r * 3)
                 dst = _random_distinct(rng, m, a)
-                assert len(make_independent(src)) <= sum(5 * k + 1 for k in range(1, m))
-                assert len(solve_distinct_tuple(src, dst)) <= 5 * m * m + 2 * m - 2
+                assert len(make_independent(src)) <= 2 * (m - _rank(src))
+                assert len(solve_distinct_tuple(src, dst)) <= 9 * m - 4
 
     def test_distinct_cap_is_checked(self, monkeypatch):
         # opposite shears cancel, so the padded word still reaches its target:
@@ -514,23 +539,51 @@ def test_distinct_words_are_checked_once(monkeypatch):
     assert all(count <= bound for count, bound in requests), requests
 
 
-SCAN = [0, 1, -1, 2, -2, 3, -3, 4, -4]
+SCAN = [0] + [sign * t for t in range(1, 40) for sign in (1, -1)]
+
+# rank 3 at a = 0 with both sum l_i r_i = 0 and sum l_i r_i^2 = 0 for
+# l = (1/2, 1/3, 1/4, -1), from a rational point of (u1 + u2 + u3)^2 = 2u1^2 + 3u2^2 + 4u3^2
+DEGENERATE = [Poly((-6, 4, -4)), Poly((-3, 0, -6)), Poly((-4, 8, -8)), Poly((-5, 4, -6))]
+
+small_int_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(
+    lambda cs: Poly(tuple(cs))
+)
 
 
-def _scan_point(word, ops):
-    """The b of the squared shear ending ``word``: the first scan point that works.
+def _squared_by_trial(ops, rank):
+    """The first squared shear along x^D - b^D whose application raises the rank, or None."""
+    d = max(len(op.r.coeffs) for op in ops)
+    for b in SCAN[: 2 * d - 1]:
+        gen = ShearSquared(b, Poly.monomial(d) - Poly.constant(b**d))
+        if _rank(apply_word_tuple([gen], ops)) > rank:
+            return gen
+    return None
 
-    Replaying the word before it on the last member gives the r it was
-    chosen for; every earlier scan point must have r(b)^2 = r(b^2).
+
+def ref_independence_word(ops):
+    """Brute-force rank steps: apply each candidate generator and take the rank.
+
+    Each step must raise the rank by exactly one.
     """
-    *prefix, gen = word
-    m = len(ops)
-    assert isinstance(gen, ShearSquared)
-    assert gen.s == Poly.monomial(m) - Poly.constant(gen.b**m)
-    r = apply_word(prefix, ops[-1]).r
-    assert r(gen.b) ** 2 != r(gen.b**2)
-    assert all(r(b) ** 2 == r(b * b) for b in SCAN[: SCAN.index(gen.b)])
-    return gen.b
+    word, cur = [], list(ops)
+    rank = _rank(cur)
+    while rank < len(cur):
+        gen = _squared_by_trial(cur, rank)
+        if gen is not None:
+            step = [gen]
+        else:
+            d = max(len(op.r.coeffs) for op in cur)
+            for c in SCAN[:d]:
+                plain = Shear(c, Poly.monomial(d) - Poly.constant(c**d))
+                gen = _squared_by_trial(apply_word_tuple([plain], cur), rank)
+                if gen is not None:
+                    step = [plain, gen]
+                    break
+        cur = apply_word_tuple(step, cur)
+        word += step
+        rank += 1
+        assert _rank(cur) == rank
+    return tuple(word)
 
 
 def _rank(ops):
