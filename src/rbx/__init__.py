@@ -27,7 +27,6 @@ from .functionals import (
     coordinate_equation,
     coords_from_operator,
     curve_coords,
-    curve_coords_symbolic,
     elimination_polynomial,
     functional_residual,
     operator_from_coords,
@@ -50,10 +49,8 @@ from .operators import (
     is_rb_upto,
     odd_halving_example,
     operator_to_point,
-    rb_residual,
 )
 from .poly import (
-    NEG_INF,
     DuplicateAbscissa,
     Poly,
     PolyParseError,
@@ -78,14 +75,14 @@ __all__ = [
     "affine_orbit_word", "apply_word", "apply_word_tuple",
     "inverse_word", "word_from_json", "word_to_json",
     "FunctionalCoords", "IndexTooSmall", "coordinate_equation", "coords_from_operator",
-    "curve_coords", "curve_coords_symbolic", "elimination_polynomial",
+    "curve_coords", "elimination_polynomial",
     "functional_residual", "operator_from_coords", "recover_base_point",
     "reduced_equation", "satisfies_system", "vanishes_on_curve",
     "DegreeCapExceeded", "MPoly", "UnassignedVariable",
     "AnalyticOp", "Inconsistent", "NoRationalBasePoint", "NotMultiplierType", "TruncOp",
     "TruncationTooSmall", "ZeroMultiplier", "derived_multiplier", "first_rb_failure",
-    "is_rb_upto", "odd_halving_example", "operator_to_point", "rb_residual",
-    "NEG_INF", "DuplicateAbscissa", "Poly", "PolyParseError", "as_rat", "lagrange",
+    "is_rb_upto", "odd_halving_example", "operator_to_point",
+    "DuplicateAbscissa", "Poly", "PolyParseError", "as_rat", "lagrange",
     "BasePointMismatch", "DuplicateOperators", "LinearlyDependent", "VerificationFailed",
     "make_independent", "solve_distinct_tuple", "solve_single", "solve_tuple_independent",
 ]

@@ -81,10 +81,6 @@ class MPoly:
         return cls()
 
     @classmethod
-    def constant(cls, c: RatLike) -> "MPoly":
-        return cls({(): c})
-
-    @classmethod
     def variable(cls, index: int, exp: int = 1) -> "MPoly":
         return _normal({_canonical_key(((index, exp),)): 1}, 1)
 
@@ -100,9 +96,6 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         return self.den == other.den and self.num == other.num
-
-    def variables(self) -> set[int]:
-        return {var for key in self.num for var, _ in key}
 
     # -- ring operations ---------------------------------------------------
 

@@ -124,6 +124,7 @@ class TruncOp:
 def _scaled_residuals(op: TruncOp, weight: Fraction, pairs):
     """Yield the residual on each pair (n, m), times D^2*q, as an integer vector.
 
+    The residual is R(x^n)R(x^m) - R(R(x^n)x^m + x^n R(x^m)) - weight*R(x^(n+m)).
     With the images R(x^i) = M[i]/D over one denominator and weight p/q it is
     q*(M[n]*M[m] - sum_i M[n][i]*M[i+m] - sum_i M[m][i]*M[i+n]) - p*D*M[n+m].
     Each row M[i] is kept as its nonzero ``(index, numerator)`` pairs.
@@ -152,20 +153,6 @@ def _scaled_residuals(op: TruncOp, weight: Fraction, pairs):
             for j, b in rows[n + m]:
                 out[j] -= weight.numerator * den * b
         yield out
-
-
-def rb_residual(op: TruncOp, weight: RatLike, n: int, m: int) -> Poly:
-    """Defect of the weight-``weight`` Rota-Baxter identity on the pair (x^n, x^m).
-
-    Returns R(x^n)R(x^m) - R(R(x^n)x^m + x^n R(x^m)) - weight*R(x^(n+m));
-    the zero polynomial exactly when the identity holds on this pair.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("monomial exponents must be non-negative")
-    weight = as_rat(weight)
-    (residual,) = _scaled_residuals(op, weight, [(n, m)])
-    scale = math.lcm(*(p.den for p in op.images)) ** 2 * weight.denominator
-    return Poly(Fraction(c, scale) for c in residual)
 
 
 def first_rb_failure(op: TruncOp, weight: RatLike, d: int) -> "tuple[int, int] | None":

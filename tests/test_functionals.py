@@ -306,7 +306,8 @@ class TestReducedEquation:
         for r in (X, Poly((1, 0, 1))):
             for n in range(3):
                 for m in range(3):
-                    high = {v for v in reduced_equation(r, n, m).variables() if v > r.degree}
+                    terms = reduced_equation(r, n, m).terms
+                    high = {v for key in terms for v, _ in key if v > r.degree}
                     assert not high
 
     @settings(deadline=None, max_examples=60)

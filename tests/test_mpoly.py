@@ -131,7 +131,7 @@ class TestTextForm:
         assert p.to_text() == f"c0*c{n} + 1/2*c{n + 2}"
 
     def test_mixed_terms(self):
-        p = c0 * c1 + MPoly.constant(3) - MPoly.variable(2)
+        p = c0 * c1 + MPoly({(): 3}) - MPoly.variable(2)
         assert p.to_text() == "c0*c1 - c2 + 3"
 
 
@@ -272,7 +272,7 @@ class TestCanonicalForm:
 
     def test_variable(self):
         assert (c0.num, c0.den) == ({((0, 1),): 1}, 1)
-        assert MPoly.variable(3, 0) == MPoly.constant(1)
+        assert MPoly.variable(3, 0) == MPoly({(): 1})
         with pytest.raises(ValueError, match="variable indices must be non-negative"):
             MPoly.variable(-1)
         with pytest.raises(ValueError, match="exponents must be non-negative"):
