@@ -88,6 +88,8 @@ class _DiagonalTuple:
         m = len(self.ops)
         if len(self.base_points) != m or len(self.values) != m:
             raise ValueError("base points, values and operators must have equal length")
+        if len(set(self.base_points)) != m:
+            raise ValueError("base points must be pairwise distinct")
         if any(c == 0 for c in self.values):
             raise ZeroFiberValue("diagonal values must be nonzero")
         _shared_base(self.ops)
@@ -300,9 +302,9 @@ def _scan(n: int) -> list[Fraction]:
 def _squared_shear(rs: Sequence[Poly], rank: int) -> "ShearSquared | None":
     """The squared shear along x^D - b^D raising the rank of ``rs``, at the first scan point b.
 
-    D - 1 is the top degree, so the shear adds the column (r_i(b)^2)_i at x^D:
-    the rank rises, by one, iff q_l(b) = sum_i l_i r_i(b)^2 != 0 for a left-kernel
-    vector l.  As deg q_l <= 2D - 2, 2D - 1 points decide unless all q_l = 0.
+    D - 1 is the top degree, so the shear adds the column (r_i(b)^2)_i at x^D: the
+    rank rises, by one, iff q_l(b) = sum_i l_i r_i(b)^2 != 0 for a left-kernel vector
+    l.  As deg q_l <= 2D - 2, 2D - 1 points decide unless all q_l = 0; then None.
     """
     d = max(len(r.num) for r in rs)
     for b in _scan(2 * d - 1):
@@ -315,14 +317,13 @@ def _rank_step(rs: Sequence[Poly], rank: int) -> Word:
     """A squared shear raising the rank of distinct ``rs`` by one, after a plain shear if needed.
 
     Every q_l can vanish: at 0, r = (-4x^2+4x-6, -6x^2-3, -8x^2+8x-4, -6x^2+4x-5)
-    has rank 3, and l = (1/2, 1/3, 1/4, -1) kills sum_i l_i r_i and q_l.  A
-    plain shear along s = x^D - c^D is linear and invertible on the tuple, so
-    l stays in the left kernel and q_l becomes 2s * P(c, x), where
-    P(y, x) = sum_i l_i r_i(y) r_i(x).  Take l of least support.  Two members
-    r_j = t*r_i, t not 0 or 1, give q_l = t(1 - t) r_i^2 != 0, so the support
-    is r_0 = sum_{i<=k} u_i r_i, k >= 2, r_1 .. r_k independent, all u_i != 0:
-    in the basis r_i(y) r_j(x), P has the coefficient -u_i u_j at i != j.  Of
-    degree below D in y, P(c, x) is nonzero at one of the first D points c.
+    has rank 3, and l = (1/2, 1/3, 1/4, -1) kills sum_i l_i r_i and q_l.  A plain
+    shear along s = x^D - c^D is linear and invertible on the tuple, so l stays
+    in the left kernel and q_l becomes 2s * P(c, x), P(y, x) = sum_i l_i r_i(y) r_i(x).
+    For l of least support, r_j = t*r_i (t not 0 or 1) would give q_l = t(1 - t) r_i^2,
+    so r_0 = sum_{i<=k} u_i r_i, k >= 2, r_1 .. r_k independent, all u_i != 0, and P
+    has the coefficient -u_i u_j at r_i(y) r_j(x), i != j.  Of degree below D in y,
+    P(c, x) is nonzero at one of the first D scan points c.
     """
     gen = _squared_shear(rs, rank)
     if gen is not None:
@@ -355,8 +356,7 @@ def _independent(ops: Sequence[AnalyticOp]) -> tuple[Word, list[AnalyticOp]]:
 def make_independent(ops: Sequence[AnalyticOp]) -> Word:
     """Word of at most 2(m - rank) generators making a distinct tuple independent.
 
-    One squared shear per missing rank, a plain shear first only in the
-    degenerate case; the rank after each step is checked.
+    One squared shear per missing rank, each rank-checked, after a plain shear if degenerate.
     """
     word, images = _independent(ops)
     _verify(apply_word_tuple(word, ops) == images, "independence word misses its images")

@@ -16,11 +16,11 @@ from rbx.operators import (
     TruncOp,
     TruncationTooSmall,
     ZeroMultiplier,
+    _scaled_residuals,
     derived_multiplier,
     first_rb_failure,
     is_rb_upto,
     odd_halving_example,
-    _scaled_residuals,
     operator_to_point,
 )
 from rbx.poly import Poly
