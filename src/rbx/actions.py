@@ -14,12 +14,14 @@ realise conjugation by the affine substitutions x -> x + nu and x -> mu*x.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
 from .operators import AnalyticOp
-from .poly import Poly, as_rat, rat_text
+from .poly import Poly, _normal, as_rat, rat_text
 
 
 class InvalidGenerator(ValueError):
@@ -44,7 +46,13 @@ class Shear:
         c = op.r(self.b)
         if not c:
             return op
-        return AnalyticOp(op.a, op.r + self.s * c**self.power)
+        # r + c**power * s over one denominator, reduced once
+        c **= self.power
+        r, s = op.r, self.s
+        den = math.lcm(r.den, s.den * c.denominator)
+        ur, us = den // r.den, den // (s.den * c.denominator) * c.numerator
+        num = [ur * u + us * v for u, v in zip_longest(r.num, s.num, fillvalue=0)]
+        return AnalyticOp(op.a, _normal(num, den))
 
     def inverse(self) -> "Shear":
         return type(self)(self.b, -self.s)

@@ -282,7 +282,7 @@ def criterion_independent_tuples(rng: random.Random) -> str:
             dst = _independent_tuple(rng, m, a)
             word = solve_tuple_independent(src, dst)
             _require(apply_word_tuple(word, src) == dst)
-            _require(len(word) <= 5 * m)
+            _require(len(word) <= 4 * m)
             total += 1
     return f"{total} independent-tuple words verified within the length cap"
 
@@ -296,7 +296,7 @@ def criterion_distinct_tuples(rng: random.Random) -> str:
             dst = _distinct_tuple(rng, m, a, force_dependent=(i % 3 == 0))
             word = solve_distinct_tuple(src, dst)
             _require(apply_word_tuple(word, src) == dst)
-            _require(len(word) <= 9 * m - 4)
+            _require(len(word) <= 8 * m - 4)
             total += 1
     return f"{total} distinct-tuple words verified, dependent inputs included"
 

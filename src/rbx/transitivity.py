@@ -9,21 +9,23 @@ as well.  Its device is ``_DiagonalTuple``: an operator tuple whose
 multipliers hit prescribed nonzero values on a diagonal evaluation pattern
 (r_i(b_j) = c_i when i = j, else 0), which makes per-member fiber moves
 independent of each other.
-A tuple word diagonalises both tuples with one shear per pivot row, bridges
-the source's diagonal tuple through an auxiliary pattern onto the
-destination's own pattern, finishes with one fiber move per member there and
-undoes the destination's diagonalisation.  A move that changes nothing is
-left out, so a word between independent m-tuples has at most 5m generators.
-A distinct tuple is first made independent by one squared shear per missing
-rank, so a word between distinct m-tuples has at most 9m - 4.
+A tuple word diagonalises both tuples with one shear per pivot row, the
+destination at points that avoid the source's, bridges the source's diagonal
+tuple onto the destination's pattern, finishes with one fiber move per member
+there and undoes the destination's diagonalisation.  A move that changes
+nothing is left out, so a word between independent m-tuples has at most 4m
+generators.  A distinct tuple is first made independent by one squared shear
+per missing rank, so a word between distinct m-tuples has at most 8m - 4.
 
 Points are always scanned deterministically, evaluation points through
-0, 1, 2, ... and the squared-shear point through 0, 1, -1, 2, -2, ..., so a
-fixed input yields a fixed word.
+0, 1, 2, ... (the destination's skipping the source's) and the
+squared-shear point through 0, 1, -1, 2, -2, ..., so a fixed input yields a
+fixed word.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -161,20 +163,21 @@ def solve_single(op1: AnalyticOp, op2: AnalyticOp) -> Word:
     return tuple(word)
 
 
-def _select_basepoints(rs: Sequence[Poly]) -> list[Fraction]:
-    """Integers 0, 1, 2, ... greedily kept while they raise the evaluation rank.
+def _select_basepoints(rs: Sequence[Poly], avoid: Sequence[Fraction] = ()) -> list[Fraction]:
+    """Integers 0, 1, 2, ... outside ``avoid`` greedily kept while they raise the evaluation rank.
 
     Returns len(rs) points at which the evaluation matrix (r_i(b_j)) is
     invertible; raises :class:`LinearlyDependent` when no points can work.
-    Evaluation at 0 .. D, D the largest degree, is the coefficient matrix
-    times an invertible Vandermonde matrix, so it has the same rank and the
-    greedy points are its pivot columns.
+    Evaluation at the first D + 1 such integers, D the largest degree, is the
+    coefficient matrix times an invertible Vandermonde matrix, so it has the
+    same rank and the greedy points are its pivot columns.
     """
     width = max((len(r.num) for r in rs), default=0)
-    pivots, _ = linalg._eliminate([[r(j) for j in range(width)] for r in rs])
+    points = [t for t in range(width + len(avoid)) if t not in avoid][:width]
+    pivots, _ = linalg._eliminate([[r(t) for t in points] for r in rs])
     if len(pivots) < len(rs):
         raise LinearlyDependent("multipliers must be linearly independent")
-    return [Fraction(j) for j in pivots]
+    return [Fraction(points[j]) for j in pivots]
 
 
 def _diagonalize_tuple(
@@ -187,6 +190,13 @@ def _diagonalize_tuple(
     there, so they add); afterwards each row holds exactly one nonzero
     entry.  Returns the word, at most m shears, and the resulting diagonal
     tuple, base points permuted to match the rows.
+
+    The matrix stays on the integers: fraction-free Gauss-Jordan elimination
+    of its columns (Bareiss, Math. Comp. 22, 1968) keeps entry (k, j) at
+    dens[k] * prev * r_k(b_j) / g[j], g[j] = 1 until column j is a pivot and
+    lead / prev of that step after.  Every entry is a minor of the row-scaled
+    matrix, so the division by prev is exact.  A row's diagonal value is its
+    pivot entry when it is reached, which later shears leave alone.
     """
     m = len(ops)
     if len(points) != m or len(set(points)) != m:
@@ -195,21 +205,33 @@ def _diagonalize_tuple(
     matrix = [[op.r(b) for b in points] for op in ops]
     if linalg.det(matrix) == 0:
         raise LinearlyDependent("evaluation matrix must be invertible")
+    rows, dens = [], []
+    for vals in matrix:
+        den = math.lcm(*(v.denominator for v in vals))
+        rows.append([v.numerator * (den // v.denominator) for v in vals])
+        dens.append(den)
     word: list[Generator] = []
     used: list[int] = []
-    for i in range(m):
-        pivot = next(j for j in range(m) if j not in used and matrix[i][j] != 0)
-        lams = [0 if j == pivot else -v / matrix[i][pivot] for j, v in enumerate(matrix[i])]
+    values: list[Fraction] = []
+    g = [(1, 1)] * m
+    prev = 1
+    for i, top in enumerate(rows):
+        pivot = next(j for j in range(m) if j not in used and top[j])
+        lead = top[pivot]
+        lams = [Fraction(-w * gn, gd * lead) for w, (gn, gd) in zip(top, g)]
+        lams[pivot] = 0
         if any(lams):
             word.append(Shear(points[pivot], lagrange(zip(points, lams))))
-            matrix = [[v + lam * row[pivot] for v, lam in zip(row, lams)] for row in matrix]
+        for row in rows[i + 1 :]:
+            c = row[pivot]
+            row[:] = [(lead * v - w * c) // prev for v, w in zip(row, top)]
+            row[pivot] = c
+        values.append(Fraction(lead, dens[i] * prev))
+        g[pivot] = (lead, prev)
         used.append(pivot)
-    result = _DiagonalTuple(
-        tuple(points[p] for p in used),
-        tuple(matrix[i][p] for i, p in enumerate(used)),
-        tuple(apply_word_tuple(word, ops)),
-    )
-    return tuple(word), result
+        prev = lead
+    moved = tuple(apply_word_tuple(word, ops))
+    return tuple(word), _DiagonalTuple(tuple(points[p] for p in used), tuple(values), moved)
 
 
 def _bridge_tuple(
@@ -245,15 +267,14 @@ def _bridge_tuple(
 def _fiber_moves(
     ops: Sequence[AnalyticOp], targets: Sequence[AnalyticOp], points: Sequence[Fraction]
 ) -> tuple[Word, list[AnalyticOp]]:
-    """Fiber moves carrying ops[k] to targets[k] at points[k] in turn, no-op moves left out."""
-    word: list[Generator] = []
-    cur = list(ops)
-    for k, b in enumerate(points):
-        gen = _fiber_move(cur[k], targets[k], b)
-        if gen.s:
-            word.append(gen)
-            cur = [gen.apply(op) for op in cur]
-    return tuple(word), cur
+    """Fiber moves carrying ops[k] to targets[k] at points[k] in turn, no-op moves left out.
+
+    ``ops`` must be diagonal on ``points``: the move at points[k] changes only
+    member k, the others vanishing there, and lands it on targets[k], so the
+    images are the targets and nothing is replayed.
+    """
+    moves = (_fiber_move(op, dst, b) for op, dst, b in zip(ops, targets, points))
+    return tuple(gen for gen in moves if gen.s), list(targets)
 
 
 def _between(src: Sequence[AnalyticOp], dst: Sequence[AnalyticOp]) -> Word:
@@ -266,14 +287,12 @@ def _between(src: Sequence[AnalyticOp], dst: Sequence[AnalyticOp]) -> Word:
         raise ValueError("tuples must have equal length")
     _shared_base(list(src) + list(dst))
     word_src, diag = _diagonalize_tuple(src, _select_basepoints([op.r for op in src]))
-    word_dst, diag_dst = _diagonalize_tuple(dst, _select_basepoints([op.r for op in dst]))
-    taken = set(diag.base_points) | set(diag_dst.base_points)
-    aux = [Fraction(t) for t in range(3 * m) if t not in taken][:m]
-    word_aux, diag = _bridge_tuple(diag, aux, [Fraction(1)] * m)
+    dst_points = _select_basepoints([op.r for op in dst], diag.base_points)
+    word_dst, diag_dst = _diagonalize_tuple(dst, dst_points)
     word_onto, diag = _bridge_tuple(diag, diag_dst.base_points, diag_dst.values)
     within, _ = _fiber_moves(diag.ops, diag_dst.ops, diag.base_points)
-    word = word_src + word_aux + word_onto + within + inverse_word(word_dst)
-    _verify(len(word) <= 5 * m, "independent-tuple word exceeds its length cap")
+    word = word_src + word_onto + within + inverse_word(word_dst)
+    _verify(len(word) <= 4 * m, "independent-tuple word exceeds its length cap")
     return word
 
 
@@ -282,12 +301,12 @@ def solve_tuple_independent(
 ) -> Word:
     """Word of shears carrying one independent tuple to another, memberwise.
 
-    Both tuples are diagonalised.  Two bridges carry the source's diagonal
-    tuple through an auxiliary pattern (the first m non-negative integers
-    that neither pattern uses, every value 1) onto the destination's points
-    and values; m fiber moves there match the members, and the destination's
-    diagonalisation is undone by its inverse word.  That is at most 5m
-    generators: one shear per row to diagonalise, no no-op moves.
+    Both tuples are diagonalised, the destination at points avoiding the
+    source's.  One bridge carries the source's diagonal tuple onto the
+    destination's points and values; m fiber moves there match the members,
+    and the destination's diagonalisation is undone by its inverse word.
+    That is at most 4m generators: one shear per row to diagonalise, no
+    no-op moves.
     """
     word = _between(src, dst)
     _verify(apply_word_tuple(word, src) == list(dst), "independent-tuple word misses its target")
@@ -369,8 +388,8 @@ def solve_distinct_tuple(
     """Word carrying any distinct tuple to any other, memberwise.
 
     Makes both sides independent, solves between the independent images and
-    undoes the destination preparation: at most 2(m - 1) + 5m + 2(m - 1)
-    = 9m - 4 generators.
+    undoes the destination preparation: at most 2(m - 1) + 4m + 2(m - 1)
+    = 8m - 4 generators.
     """
     m = len(src)
     if len(dst) != m:
@@ -379,6 +398,6 @@ def solve_distinct_tuple(
     word_src, src_ind = _independent(src)
     word_dst, dst_ind = _independent(dst)
     word = word_src + _between(src_ind, dst_ind) + inverse_word(word_dst)
-    _verify(len(word) <= 9 * m - 4, "distinct-tuple word exceeds its length cap")
+    _verify(len(word) <= 8 * m - 4, "distinct-tuple word exceeds its length cap")
     _verify(apply_word_tuple(word, src) == list(dst), "distinct-tuple word misses its target")
     return word

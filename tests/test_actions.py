@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import assume, given, settings, strategies as st
+
 from rbx.actions import (
     Dilate,
     InvalidGenerator,
@@ -43,6 +45,13 @@ def random_op(rng, max_deg=4):
     return AnalyticOp(random_rat(rng), random_poly(rng, max_deg))
 
 
+big_rats = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-(2**256), 2**256), st.integers(1, 2**256)),
+)
+polys = st.lists(big_rats, max_size=5).map(lambda cs: Poly(tuple(cs)))
+
+
 class TestGenerators:
     def test_shear_formula(self):
         op = AnalyticOp(0, Poly.one())
@@ -78,6 +87,25 @@ class TestGenerators:
         op = AnalyticOp(0, Poly.constant(3))
         moved = ShearSquared(0, Poly.x()).apply(op)
         assert moved.r == Poly((3, 9))
+
+    @pytest.mark.parametrize("kind", [Shear, ShearSquared])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_apply_matches_the_defining_formula(self, kind, data):
+        # r + r(b)**power * s, with 256-bit numerators and denominators and
+        # multipliers vanishing at b
+        b = data.draw(big_rats)
+        s = Poly((-b, 1)) * data.draw(polys)
+        r = data.draw(polys)
+        root = data.draw(st.booleans())
+        if root:
+            r = Poly((-b, 1)) * r
+        assume(r)
+        op = AnalyticOp(data.draw(big_rats), r)
+        moved = kind(b, s).apply(op)
+        assert moved == AnalyticOp(op.a, r + s * r(b) ** kind.power)
+        if root:
+            assert moved == op
 
     def test_invariants_enforced(self):
         with pytest.raises(InvalidGenerator):

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from rbx import linalg, selftest, transitivity
 from rbx.actions import Dilate, Shear, ShearSquared, Translate, apply_word, apply_word_tuple
 from rbx.operators import AnalyticOp
-from rbx.poly import Poly
+from rbx.poly import Poly, lagrange
 from rbx.transitivity import (
     BasePointCollision,
     BasePointMismatch,
@@ -23,6 +23,7 @@ from rbx.transitivity import (
     LinearlyDependent,
     VerificationFailed,
     ZeroFiberValue,
+    _between,
     _bridge_tuple,
     _DiagonalTuple,
     _diagonalize_tuple,
@@ -159,12 +160,12 @@ class TestSolveSingle:
         ]
 
 
-def ref_select_basepoints(rs):
-    """Integers 0, 1, 2, ... kept while they raise the rank of the evaluation columns."""
+def ref_select_basepoints(rs, avoid=()):
+    """Integers 0, 1, 2, ... outside ``avoid`` kept while they raise the rank of the evaluation columns."""
     points, t = [], 0
     while len(points) < len(rs):
         trial = [[r(b) for b in points + [t]] for r in rs]
-        if linalg.rank(trial) > len(points):
+        if t not in avoid and linalg.rank(trial) > len(points):
             points.append(t)
         t += 1
     return points
@@ -184,8 +185,22 @@ class TestSelectBasepoints:
         else:
             assert _select_basepoints(rs) == ref_select_basepoints(rs)
 
+    @given(st.lists(small_polys, min_size=1, max_size=4), st.lists(st.integers(0, 8), max_size=6))
+    def test_avoided_points_are_skipped(self, rs, avoid):
+        avoid = tuple(Fraction(t) for t in avoid)
+        if linalg.rank([list(r.coeffs) + [0] * (5 - len(r.coeffs)) for r in rs]) < len(rs):
+            with pytest.raises(LinearlyDependent):
+                _select_basepoints(rs, avoid)
+            return
+        points = _select_basepoints(rs, avoid)
+        assert len(set(points)) == len(rs)
+        assert not set(points) & set(avoid)
+        assert linalg.det([[r(b) for b in points] for r in rs]) != 0
+        assert points == ref_select_basepoints(rs, avoid)
+
     def test_unit_and_x(self):
         assert _select_basepoints([Poly.one(), Poly.x()]) == [0, 1]
+        assert _select_basepoints([Poly.one(), Poly.x()], (Fraction(0), Fraction(1))) == [2, 3]
 
     def test_single_with_root_at_origin(self):
         assert _select_basepoints([Poly.one()]) == [0]
@@ -246,6 +261,69 @@ class TestDiagonalize:
             assert apply_word_tuple(word, ops) == list(diag.ops)
 
 
+def ref_diagonalize(ops, points):
+    """Column elimination on the Fraction evaluation matrix: the word, pivot points and diagonal values."""
+    m = len(ops)
+    matrix = [[op.r(b) for b in points] for op in ops]
+    word, used = [], []
+    for i in range(m):
+        pivot = next(j for j in range(m) if j not in used and matrix[i][j] != 0)
+        lams = [0 if j == pivot else -v / matrix[i][pivot] for j, v in enumerate(matrix[i])]
+        if any(lams):
+            word.append(Shear(points[pivot], lagrange(zip(points, lams))))
+            matrix = [[v + lam * row[pivot] for v, lam in zip(row, lams)] for row in matrix]
+        used.append(pivot)
+    return (
+        tuple(word),
+        tuple(points[p] for p in used),
+        tuple(matrix[i][p] for i, p in enumerate(used)),
+    )
+
+
+# small integers, so that evaluation matrices have zero entries, and large
+# numerators over large denominators, either sign
+mixed_rats = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**60)),
+)
+
+
+class TestDiagonalizeMatchesReference:
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_random_independent_tuples(self, data):
+        m = data.draw(st.integers(1, 5))
+        rs = data.draw(
+            st.lists(
+                st.lists(mixed_rats, min_size=1, max_size=m + 1).map(lambda cs: Poly(tuple(cs))),
+                min_size=m, max_size=m,
+            )
+        )
+        assume(all(rs))
+        assume(linalg.rank([list(r.coeffs) + [0] * (m + 1 - len(r.coeffs)) for r in rs]) == m)
+        a = data.draw(mixed_rats)
+        ops = [AnalyticOp(a, r) for r in rs]
+        points = _select_basepoints(rs)
+        if data.draw(st.booleans()):
+            # arbitrary distinct rational points, negative ones included
+            points = data.draw(st.lists(mixed_rats, min_size=m, max_size=m, unique=True))
+            assume(linalg.det([[r(b) for b in points] for r in rs]) != 0)
+        self.check(ops, points)
+
+    def test_negative_pivots(self):
+        # every pivot is negative, and each row needs its shear
+        ops = [AnalyticOp(0, Poly((-2, -1))), AnalyticOp(0, Poly((-1, -3))), AnalyticOp(0, Poly((-1, 0, -1)))]
+        for points in ([0, 1, 2], [Fraction(-1, 3), Fraction(5, 2), -7]):
+            word, diag = self.check(ops, [Fraction(b) for b in points])
+            assert word and any(c < 0 for c in diag.values)
+
+    @staticmethod
+    def check(ops, points):
+        word, diag = _diagonalize_tuple(ops, points)
+        assert (word, diag.base_points, diag.values) == ref_diagonalize(ops, points)
+        return word, diag
+
+
 class TestBridge:
     def test_single_member(self):
         src = _DiagonalTuple((Fraction(0),), (Fraction(1),), (AnalyticOp(2, Poly.one()),))
@@ -279,7 +357,8 @@ class TestSolveTupleIndependent:
         assert apply_word_tuple(word, [AnalyticOp(0, Poly.one())]) == [
             AnalyticOp(0, Poly((1, 1)))
         ]
-        # r = 1 already meets both bridge targets, so only the fiber move is left
+        # the bridge target through (0, 1) and (1, 2) is the destination itself,
+        # so the bridge's one fiber move is the whole word
         assert len(word) == 1
 
     def test_shifted_constants(self):
@@ -296,8 +375,8 @@ class TestSolveTupleIndependent:
             dst = random_independent(rng, 3, a)
             word = solve_tuple_independent(src, dst)
             assert apply_word_tuple(word, src) == dst
-            # one shear per row per diagonalisation, m per bridge and m fiber moves
-            assert len(word) <= 5 * 3
+            # one shear per row per diagonalisation, m in the bridge and m fiber moves
+            assert len(word) <= 4 * 3
 
     def test_dependent_rejected(self):
         pair = [AnalyticOp(0, Poly.x()), AnalyticOp(0, Poly((0, 2)))]
@@ -313,6 +392,29 @@ class TestSolveTupleIndependent:
             solve_tuple_independent(
                 [AnalyticOp(0, Poly.one())], [AnalyticOp(1, Poly.one())]
             )
+
+    def test_destination_points_avoid_the_source_points(self, monkeypatch):
+        seen = []
+        diagonalize = transitivity._diagonalize_tuple
+
+        def recording(ops, points):
+            seen.append(list(points))
+            return diagonalize(ops, points)
+
+        monkeypatch.setattr(transitivity, "_diagonalize_tuple", recording)
+        # both sides would pick 0 and 1 on their own
+        pair = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.x())]
+        assert apply_word_tuple(_between(pair, pair), pair) == pair
+        assert seen == [[0, 1], [2, 3]]
+        rng = random.Random(113)
+        for m in (1, 2, 3, 4):
+            seen.clear()
+            a = random_rat(rng)
+            src = random_independent(rng, m, a)
+            dst = random_independent(rng, m, a)
+            solve_tuple_independent(src, dst)
+            src_points, dst_points = seen
+            assert not set(src_points) & set(dst_points)
 
 
 class TestMakeIndependent:
@@ -480,7 +582,7 @@ class TestWordLength:
         for word in words:
             assert not [gen for gen in word if isinstance(gen, Shear) and not gen.s]
 
-    def test_independent_words_within_5m(self):
+    def test_independent_words_within_4m(self):
         rng = random.Random(107)
         for m in range(1, 7):
             for _ in range(3):
@@ -489,7 +591,7 @@ class TestWordLength:
                 dst = random_independent(rng, m, a)
                 word = solve_tuple_independent(src, dst)
                 assert apply_word_tuple(word, src) == dst
-                assert len(word) <= 5 * m
+                assert len(word) <= 4 * m
 
     def test_distinct_words_within_their_bound(self):
         rng = random.Random(109)
@@ -501,7 +603,7 @@ class TestWordLength:
                     src[-1] = AnalyticOp(a, src[0].r * 3)
                 dst = _random_distinct(rng, m, a)
                 assert len(make_independent(src)) <= 2 * (m - _rank(src))
-                assert len(solve_distinct_tuple(src, dst)) <= 9 * m - 4
+                assert len(solve_distinct_tuple(src, dst)) <= 8 * m - 4
 
     def test_distinct_cap_is_checked(self, monkeypatch):
         # opposite shears cancel, so the padded word still reaches its target:
@@ -513,6 +615,30 @@ class TestWordLength:
         ops = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.constant(2))]
         with pytest.raises(VerificationFailed, match="exceeds its length cap"):
             solve_distinct_tuple(ops, ops)
+
+
+def test_independent_words_are_checked_once(monkeypatch):
+    # one build pass and one checking replay: at most 2*m*len(word)
+    # generator applications per request, on the criterion-9 inputs
+    applied = [0]
+    for cls in (Shear, Translate, Dilate):
+        def counting(self, op, _apply=cls.apply):
+            applied[0] += 1
+            return _apply(self, op)
+
+        monkeypatch.setattr(cls, "apply", counting)
+    requests = []
+
+    def solve(src, dst):
+        applied[0] = 0
+        word = solve_tuple_independent(src, dst)
+        requests.append((applied[0], 2 * len(src) * len(word)))
+        return word
+
+    monkeypatch.setattr(selftest, "solve_tuple_independent", solve)
+    assert selftest.run_criterion(9).passed
+    assert len(requests) == 40
+    assert all(count <= bound for count, bound in requests), requests
 
 
 def test_distinct_words_are_checked_once(monkeypatch):
