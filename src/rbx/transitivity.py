@@ -260,21 +260,21 @@ def _bridge_tuple(
             (b, src.values[k] if i == k else 0) for i, b in enumerate(src.base_points)
         ] + [(b, dst_values[k] if i == k else 0) for i, b in enumerate(dst_points)]
         targets.append(AnalyticOp(a, lagrange(constraints)))
-    word, cur = _fiber_moves(src.ops, targets, src.base_points)
-    return word, _DiagonalTuple(tuple(dst_points), tuple(dst_values), tuple(cur))
+    word = _fiber_moves(src.ops, targets, src.base_points)
+    return word, _DiagonalTuple(tuple(dst_points), tuple(dst_values), tuple(targets))
 
 
 def _fiber_moves(
     ops: Sequence[AnalyticOp], targets: Sequence[AnalyticOp], points: Sequence[Fraction]
-) -> tuple[Word, list[AnalyticOp]]:
+) -> Word:
     """Fiber moves carrying ops[k] to targets[k] at points[k] in turn, no-op moves left out.
 
     ``ops`` must be diagonal on ``points``: the move at points[k] changes only
     member k, the others vanishing there, and lands it on targets[k], so the
-    images are the targets and nothing is replayed.
+    word carries ops to targets without a replay.
     """
     moves = (_fiber_move(op, dst, b) for op, dst, b in zip(ops, targets, points))
-    return tuple(gen for gen in moves if gen.s), list(targets)
+    return tuple(gen for gen in moves if gen.s)
 
 
 def _between(src: Sequence[AnalyticOp], dst: Sequence[AnalyticOp]) -> Word:
@@ -290,7 +290,7 @@ def _between(src: Sequence[AnalyticOp], dst: Sequence[AnalyticOp]) -> Word:
     dst_points = _select_basepoints([op.r for op in dst], diag.base_points)
     word_dst, diag_dst = _diagonalize_tuple(dst, dst_points)
     word_onto, diag = _bridge_tuple(diag, diag_dst.base_points, diag_dst.values)
-    within, _ = _fiber_moves(diag.ops, diag_dst.ops, diag.base_points)
+    within = _fiber_moves(diag.ops, diag_dst.ops, diag.base_points)
     word = word_src + word_onto + within + inverse_word(word_dst)
     _verify(len(word) <= 4 * m, "independent-tuple word exceeds its length cap")
     return word

@@ -312,10 +312,10 @@ class TestDiagonalizeMatchesReference:
 
     def test_negative_pivots(self):
         # every pivot is negative, and each row needs its shear
-        ops = [AnalyticOp(0, Poly((-2, -1))), AnalyticOp(0, Poly((-1, -3))), AnalyticOp(0, Poly((-1, 0, -1)))]
+        ops = [AnalyticOp(0, Poly(cs)) for cs in ((-2, -1), (-1, -3), (-1, 0, -1))]
         for points in ([0, 1, 2], [Fraction(-1, 3), Fraction(5, 2), -7]):
             word, diag = self.check(ops, [Fraction(b) for b in points])
-            assert word and any(c < 0 for c in diag.values)
+            assert len(word) == 3 and all(c < 0 for c in diag.values)
 
     @staticmethod
     def check(ops, points):
