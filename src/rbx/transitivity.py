@@ -14,13 +14,13 @@ destination at points that avoid the source's, bridges the source's diagonal
 tuple onto the destination's pattern, finishes with one fiber move per member
 there and undoes the destination's diagonalisation.  A move that changes
 nothing is left out, so a word between independent m-tuples has at most 4m
-generators.  A distinct tuple is first made independent by one squared shear
-per missing rank, so a word between distinct m-tuples has at most 8m - 4.
+generators.  A single operator is the one-member tuple: after a translation
+of the base point its word is one bridge move and one fiber move.  A distinct
+tuple is first made independent by one squared shear per missing rank, so a
+word between distinct m-tuples has at most 8m - 4.
 
-Points are always scanned deterministically, evaluation points through
-0, 1, 2, ... (the destination's skipping the source's) and the
-squared-shear point through 0, 1, -1, 2, -2, ..., so a fixed input yields a
-fixed word.
+Every evaluation and shear point is the first that works in one scan,
+0, 1, -1, 2, -2, ..., so a fixed input yields a fixed word.
 """
 
 from __future__ import annotations
@@ -118,6 +118,11 @@ def _rank(rs: Sequence[Poly]) -> int:
     return linalg.rank([[r.coeff(j) for j in range(width)] for r in rs])
 
 
+def _scan(n: int) -> list[Fraction]:
+    """The first n points of 0, 1, -1, 2, -2, ..."""
+    return [Fraction((k + 1) // 2 * (-1) ** (k + 1)) for k in range(n)]
+
+
 def _fiber_move(src: AnalyticOp, dst: AnalyticOp, b: Fraction) -> Shear:
     """The shear at b carrying src to dst within one fiber of the evaluation map."""
     if src.a != dst.a:
@@ -131,53 +136,34 @@ def _fiber_move(src: AnalyticOp, dst: AnalyticOp, b: Fraction) -> Shear:
 
 
 def solve_single(op1: AnalyticOp, op2: AnalyticOp) -> Word:
-    """Word of at most three generators carrying op1 to op2.
+    """Word of at most three generators carrying op1 to op2: the one-member tuple word.
 
-    A translation aligns the integration base points; one shear matches the
-    multiplier value at a fresh evaluation point; a fiber move there
-    finishes.  The evaluation points are the two smallest non-negative
-    integers avoiding the roots of both multipliers.
+    A translation aligns the integration base points, then ``_between`` on the
+    one-member tuples gives one bridge move and one fiber move: with a single
+    member the diagonalisations emit no shear.
     """
-    word: list[Generator] = []
-    cur = op1
-    if cur.a != op2.a:
-        gen = Translate(cur.a - op2.a)
-        word.append(gen)
-        cur = gen.apply(cur)
-    r1, r2 = cur.r, op2.r
-    points: list[Fraction] = []
-    t = 0
-    while len(points) < 2:
-        b = Fraction(t)
-        if r1(b) != 0 and r2(b) != 0:
-            points.append(b)
-        t += 1
-    first, second = points
-    gamma = (r2(second) - r1(second)) / (r1(first) * (second - first))
-    gen = Shear(first, Poly((-first, Fraction(1))) * gamma)
-    word.append(gen)
-    cur = gen.apply(cur)
-    gen = _fiber_move(cur, op2, second)
-    word.append(gen)
+    word: Word = (Translate(op1.a - op2.a),) if op1.a != op2.a else ()
+    word += _between([apply_word(word, op1)], [op2])
     _verify(len(word) <= 3 and apply_word(word, op1) == op2, "single word misses its target")
-    return tuple(word)
+    return word
 
 
 def _select_basepoints(rs: Sequence[Poly], avoid: Sequence[Fraction] = ()) -> list[Fraction]:
-    """Integers 0, 1, 2, ... outside ``avoid`` greedily kept while they raise the evaluation rank.
+    """Scan points outside ``avoid`` greedily kept while they raise the evaluation rank.
 
     Returns len(rs) points at which the evaluation matrix (r_i(b_j)) is
     invertible; raises :class:`LinearlyDependent` when no points can work.
-    Evaluation at the first D + 1 such integers, D the largest degree, is the
+    Evaluation at any D + 1 distinct points, D the largest degree, is the
     coefficient matrix times an invertible Vandermonde matrix, so it has the
-    same rank and the greedy points are its pivot columns.
+    same rank and the greedy points are its pivot columns; these are the
+    first D + 1 points of :func:`_scan` outside ``avoid``.
     """
     width = max((len(r.num) for r in rs), default=0)
-    points = [t for t in range(width + len(avoid)) if t not in avoid][:width]
-    pivots, _ = linalg._eliminate([[r(t) for t in points] for r in rs])
+    points = [b for b in _scan(width + len(avoid)) if b not in avoid][:width]
+    pivots, _ = linalg._eliminate([[r(b) for b in points] for r in rs])
     if len(pivots) < len(rs):
         raise LinearlyDependent("multipliers must be linearly independent")
-    return [Fraction(points[j]) for j in pivots]
+    return [points[j] for j in pivots]
 
 
 def _diagonalize_tuple(
@@ -189,7 +175,9 @@ def _diagonalize_tuple(
     columns by one shear at its pivot point (shears at one point keep r
     there, so they add); afterwards each row holds exactly one nonzero
     entry.  Returns the word, at most m shears, and the resulting diagonal
-    tuple, base points permuted to match the rows.
+    tuple, base points permuted to match the rows.  A row with no nonzero
+    entry left in an unused column lies in the span of the rows above it, so
+    the matrix is singular and :class:`LinearlyDependent` is raised there.
 
     The matrix stays on the integers: fraction-free Gauss-Jordan elimination
     of its columns (Bareiss, Math. Comp. 22, 1968) keeps entry (k, j) at
@@ -202,11 +190,9 @@ def _diagonalize_tuple(
     if len(points) != m or len(set(points)) != m:
         raise ValueError("need as many distinct evaluation points as operators")
     _shared_base(ops)
-    matrix = [[op.r(b) for b in points] for op in ops]
-    if linalg.det(matrix) == 0:
-        raise LinearlyDependent("evaluation matrix must be invertible")
     rows, dens = [], []
-    for vals in matrix:
+    for op in ops:
+        vals = [op.r(b) for b in points]
         den = math.lcm(*(v.denominator for v in vals))
         rows.append([v.numerator * (den // v.denominator) for v in vals])
         dens.append(den)
@@ -216,7 +202,9 @@ def _diagonalize_tuple(
     g = [(1, 1)] * m
     prev = 1
     for i, top in enumerate(rows):
-        pivot = next(j for j in range(m) if j not in used and top[j])
+        pivot = next((j for j in range(m) if j not in used and top[j]), None)
+        if pivot is None:
+            raise LinearlyDependent("evaluation matrix must be invertible")
         lead = top[pivot]
         lams = [Fraction(-w * gn, gd * lead) for w, (gn, gd) in zip(top, g)]
         lams[pivot] = 0
@@ -239,10 +227,12 @@ def _bridge_tuple(
 ) -> tuple[Word, _DiagonalTuple]:
     """Move a diagonal tuple onto a disjoint evaluation pattern.
 
-    Interpolates target multipliers meeting both patterns at once, then
-    walks there one member at a time with fiber moves at the source points;
-    each move fixes the other members because their multipliers vanish
-    there; a member already at its target gets no move.
+    Target k is r_k + N * L_k: N = prod (x - p_j) over the source points, and
+    L_k interpolates (d_k * delta_kj - r_k(q_j)) / N(q_j) at the destination
+    points q_j, so it keeps the source pattern and meets the destination's.
+    Fiber moves at the source points walk there one member at a time, each
+    fixing the others, which vanish there, along N * L_k / c_k, of degree at
+    most 2m - 1 whatever the members' degrees; no-op moves are left out.
     """
     m = len(src.ops)
     if len(dst_points) != m or len(dst_values) != m:
@@ -253,13 +243,15 @@ def _bridge_tuple(
         raise ValueError("destination points must be pairwise distinct")
     if any(c == 0 for c in dst_values):
         raise ZeroFiberValue("destination values must be nonzero")
-    a = src.ops[0].a
+    node = math.prod((Poly((-p, 1)) for p in src.base_points), start=Poly.one())
+    nodes = [node(q) for q in dst_points]
     targets = []
-    for k in range(m):
-        constraints = [
-            (b, src.values[k] if i == k else 0) for i, b in enumerate(src.base_points)
-        ] + [(b, dst_values[k] if i == k else 0) for i, b in enumerate(dst_points)]
-        targets.append(AnalyticOp(a, lagrange(constraints)))
+    for k, op in enumerate(src.ops):
+        correction = lagrange(
+            (q, ((dst_values[k] if j == k else 0) - op.r(q)) / n)
+            for j, (q, n) in enumerate(zip(dst_points, nodes))
+        )
+        targets.append(AnalyticOp(op.a, op.r + node * correction))
     word = _fiber_moves(src.ops, targets, src.base_points)
     return word, _DiagonalTuple(tuple(dst_points), tuple(dst_values), tuple(targets))
 
@@ -311,11 +303,6 @@ def solve_tuple_independent(
     word = _between(src, dst)
     _verify(apply_word_tuple(word, src) == list(dst), "independent-tuple word misses its target")
     return word
-
-
-def _scan(n: int) -> list[Fraction]:
-    """The first n points of 0, 1, -1, 2, -2, ..."""
-    return [Fraction((k + 1) // 2 * (-1) ** (k + 1)) for k in range(n)]
 
 
 def _squared_shear(rs: Sequence[Poly], rank: int) -> "ShearSquared | None":

@@ -181,6 +181,22 @@ class TestFunctional:
         assert out == ""
         assert err.startswith("error: ") and "cap 64" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["system", "r=0", "n=1", "m=1"], "context multiplier must be nonzero"),
+            (["eliminate", "r=0", "t=3"], "context multiplier must be nonzero"),
+            (["reduce", "r=0", "n=1", "m=1"], "context multiplier must be nonzero"),
+            (["check", "r=0"], "context multiplier must be nonzero"),
+            (["eliminate", "r=x", "t=1"], "coordinate 1 is free"),
+        ],
+    )
+    def test_library_refusal_is_an_input_error(self, capsys, argv, message):
+        code, out, err = run(capsys, ["functional"] + argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_negative_budget_is_an_input_error(self, capsys):
         code, out, err = run(capsys, ["functional", "check", "r=x", "--budget", "-1"])
         assert code == 2

@@ -59,6 +59,12 @@ def random_independent(rng, m, a):
             return ops
 
 
+small_polys = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=2), max_size=5
+).map(lambda cs: Poly(tuple(cs)))
+nonzero_polys = small_polys.filter(bool)
+
+
 class TestFiberMove:
     def test_shear_direction_from_difference(self):
         src = AnalyticOp(0, Poly((1, 1)))
@@ -111,6 +117,21 @@ class TestSolveSingle:
             assert apply_word(word, op1) == op2
             assert len(word) <= 3
 
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.fractions(min_value=-2, max_value=2, max_denominator=3), nonzero_polys,
+        st.fractions(min_value=-2, max_value=2, max_denominator=3), nonzero_polys,
+    )
+    def test_matches_direct_construction(self, a1, r1, a2, r2):
+        # where the direct rule (both multipliers nonzero at both points) and
+        # the tuple rule (r1(p) != 0, then r2(q) != 0) pick the same points,
+        # the one-member tuple word is the direct gamma-shear word
+        op1, op2 = AnalyticOp(a1, r1), AnalyticOp(a2, r2)
+        moved = apply_word([Translate(a1 - a2)], op1).r if a1 != a2 else r1
+        points = direct_points(moved, r2)
+        first = next(b for b in SCAN if moved(b))
+        assume(points == (first, next(b for b in SCAN if b != first and r2(b))))
+        assert solve_single(op1, op2) == ref_single_word(op1, op2, *points)
 
     def test_wrong_word_raises_under_optimize(self):
         # the final checks are not asserts: python -O must still reject a bad
@@ -160,20 +181,38 @@ class TestSolveSingle:
         ]
 
 
+def direct_points(r1, r2):
+    """The two smallest non-negative integers where neither multiplier vanishes."""
+    candidates = range(len(r1.num) + len(r2.num))
+    return tuple(Fraction(b) for b in candidates if r1(b) and r2(b))[:2]
+
+
+def ref_single_word(op1, op2, first, second):
+    """The direct single-operator word at two given points; no shared code with the solvers.
+
+    A translation aligns the base points, a shear at ``first`` along
+    gamma * (x - first) matches the multiplier value at ``second``, and a
+    fiber move at ``second`` finishes.  A shear with a zero direction is left
+    out.
+    """
+    word = [Translate(op1.a - op2.a)] if op1.a != op2.a else []
+    r1, r2 = apply_word(word, op1).r, op2.r
+    gamma = (r2(second) - r1(second)) / (r1(first) * (second - first))
+    word.append(Shear(first, Poly((-first, 1)) * gamma))
+    moved = apply_word(word, op1).r
+    word.append(Shear(second, (r2 - moved) * (1 / r2(second))))
+    return tuple(gen for gen in word if not isinstance(gen, Shear) or gen.s)
+
+
 def ref_select_basepoints(rs, avoid=()):
-    """Integers 0, 1, 2, ... outside ``avoid`` kept while they raise the rank of the evaluation columns."""
+    """Points 0, 1, -1, 2, -2, ... outside ``avoid`` kept while they raise the rank of the evaluation columns."""
     points, t = [], 0
     while len(points) < len(rs):
         trial = [[r(b) for b in points + [t]] for r in rs]
         if t not in avoid and linalg.rank(trial) > len(points):
             points.append(t)
-        t += 1
+        t = -t if t > 0 else 1 - t
     return points
-
-
-small_polys = st.lists(
-    st.fractions(min_value=-3, max_value=3, max_denominator=2), max_size=5
-).map(lambda cs: Poly(tuple(cs)))
 
 
 class TestSelectBasepoints:
@@ -200,7 +239,7 @@ class TestSelectBasepoints:
 
     def test_unit_and_x(self):
         assert _select_basepoints([Poly.one(), Poly.x()]) == [0, 1]
-        assert _select_basepoints([Poly.one(), Poly.x()], (Fraction(0), Fraction(1))) == [2, 3]
+        assert _select_basepoints([Poly.one(), Poly.x()], (Fraction(0), Fraction(1))) == [-1, 2]
 
     def test_single_with_root_at_origin(self):
         assert _select_basepoints([Poly.one()]) == [0]
@@ -257,6 +296,36 @@ class TestDiagonalize:
         for _ in range(5):
             ops = random_independent(rng, 3, random_rat(rng))
             points = _select_basepoints([op.r for op in ops])
+            word, diag = _diagonalize_tuple(ops, points)
+            assert apply_word_tuple(word, ops) == list(diag.ops)
+
+
+class TestSingularPattern:
+    @pytest.mark.parametrize(
+        "rs,points",
+        [
+            # a zero row: x^2 - x vanishes at 0 and 1
+            ((Poly.x(), Poly((0, -1, 1))), (0, 1)),
+            # a row that the elimination empties: 1 and x^2 agree at -1 and 1
+            ((Poly.one(), Poly.monomial(2)), (-1, 1)),
+        ],
+    )
+    def test_raises_linearly_dependent(self, rs, points):
+        ops = [AnalyticOp(0, r) for r in rs]
+        with pytest.raises(LinearlyDependent):
+            _diagonalize_tuple(ops, [Fraction(b) for b in points])
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.data())
+    def test_raises_exactly_when_singular(self, data):
+        m = data.draw(st.integers(1, 4))
+        rs = data.draw(st.lists(small_int_polys.filter(bool), min_size=m, max_size=m))
+        points = data.draw(st.lists(st.integers(-3, 3).map(Fraction), min_size=m, max_size=m, unique=True))
+        ops = [AnalyticOp(0, r) for r in rs]
+        if linalg.det([[r(b) for b in points] for r in rs]) == 0:
+            with pytest.raises(LinearlyDependent):
+                _diagonalize_tuple(ops, points)
+        else:
             word, diag = _diagonalize_tuple(ops, points)
             assert apply_word_tuple(word, ops) == list(diag.ops)
 
@@ -349,6 +418,40 @@ class TestBridge:
             assert out.values == (2, 3)
 
 
+class TestBridgeCorrection:
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_targets_hit_both_patterns_along_low_degree_directions(self, data):
+        m = data.draw(st.integers(1, 4))
+        rs = data.draw(st.lists(small_int_polys.filter(bool), min_size=m, max_size=m))
+        # one member of degree above 2m, past the bound on the bridge directions
+        rs[0] = rs[0] + Poly.monomial(2 * m + data.draw(st.integers(1, 3)))
+        width = max(len(r.num) for r in rs)
+        assume(linalg.rank([[r.coeff(j) for j in range(width)] for r in rs]) == m)
+        a = data.draw(st.integers(-2, 2))
+        ops = [AnalyticOp(a, r) for r in rs]
+        _, src = _diagonalize_tuple(ops, _select_basepoints(rs))
+        free = [b for b in SCAN[:12] + [Fraction(1, 2), Fraction(-7, 3)] if b not in src.base_points]
+        dst_points = data.draw(st.lists(st.sampled_from(free), min_size=m, max_size=m, unique=True))
+        dst_values = data.draw(
+            st.lists(st.fractions(-5, 5, max_denominator=4).filter(bool), min_size=m, max_size=m)
+        )
+        word, out = _bridge_tuple(src, [Fraction(b) for b in dst_points], dst_values)
+        for k, target in enumerate(out.ops):
+            assert [target.r(p) for p in src.base_points] == [
+                src.values[k] if j == k else 0 for j in range(m)
+            ]
+            assert [target.r(q) for q in dst_points] == [
+                dst_values[k] if j == k else 0 for j in range(m)
+            ]
+        assert apply_word_tuple(word, list(src.ops)) == list(out.ops)
+        assert len(word) <= m
+        for gen in word:
+            assert type(gen) is Shear and gen.b in src.base_points
+            assert gen.s.degree <= 2 * m - 1
+            assert all(gen.s(p) == 0 for p in src.base_points)
+
+
 class TestSolveTupleIndependent:
     def test_single_member(self):
         word = solve_tuple_independent(
@@ -405,7 +508,7 @@ class TestSolveTupleIndependent:
         # both sides would pick 0 and 1 on their own
         pair = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.x())]
         assert apply_word_tuple(_between(pair, pair), pair) == pair
-        assert seen == [[0, 1], [2, 3]]
+        assert seen == [[0, 1], [-1, 2]]
         rng = random.Random(113)
         for m in (1, 2, 3, 4):
             seen.clear()
