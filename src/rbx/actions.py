@@ -14,7 +14,6 @@ realise conjugation by the affine substitutions x -> x + nu and x -> mu*x.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -39,20 +38,20 @@ class Shear:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "b", as_rat(self.b))
-        if self.s(self.b) != 0:
+        if self.s._at(self.b)[0]:
             raise InvalidGenerator(f"shear direction must vanish at {self.b}")
 
     def apply(self, op: AnalyticOp) -> AnalyticOp:
-        c = op.r(self.b)
-        if not c:
-            return op
-        # r + c**power * s over one denominator, reduced once
-        c **= self.power
         r, s = op.r, self.s
-        den = math.lcm(r.den, s.den * c.denominator)
-        ur, us = den // r.den, den // (s.den * c.denominator) * c.numerator
-        num = [ur * u + us * v for u, v in zip_longest(r.num, s.num, fillvalue=0)]
-        return AnalyticOp(op.a, _normal(num, den))
+        n, d = r._at(self.b)
+        if not n:
+            return op
+        # r + (n/d)**power * s over the denominator d**power * s.den (r.den divides d),
+        # reduced once
+        n, d = n**self.power, d**self.power
+        ur = d // r.den * s.den
+        num = [ur * u + n * v for u, v in zip_longest(r.num, s.num, fillvalue=0)]
+        return AnalyticOp(op.a, _normal(num, d * s.den))
 
     def inverse(self) -> "Shear":
         return type(self)(self.b, -self.s)

@@ -16,8 +16,11 @@ def _copy(rows: Sequence[Sequence[RatLike]]) -> list[list[Fraction]]:
     return out
 
 
-def _eliminate(mat: list[list[Fraction]]) -> tuple[list[int], Fraction]:
+def _eliminate(mat: list[list["Fraction | int"]]) -> tuple[list[int], Fraction]:
     """Pivot columns, and determinant when square, by Bareiss elimination (Math. Comp. 22, 1968).
+
+    Entries may be ``int`` or ``Fraction``; integer rows, as the word synthesis
+    builds them, are used as they are.
 
     Columns are taken left to right, so a column is a pivot exactly when it
     is independent of the columns before it; the number of pivots is the

@@ -8,6 +8,11 @@ zero polynomial has no coefficients and its degree is the sentinel
 silently wrong.  ``gcd`` is a primitive remainder sequence over the
 integers and ``common_root`` reads a rational root off it.
 
+Evaluation and interpolation run on the integers too: ``Poly._at`` gives
+the unreduced value as an integer pair, and ``_nodes`` does the node work of
+Lagrange interpolation once per node set, for any number of value vectors;
+``lagrange`` applies it to one.
+
 The module also owns the polynomial text grammar used by the CLI and the
 JSON payloads: a sum of terms ``[+-] coef [*] [x [^ exp]]`` with ``coef``
 a rational literal ``int[/posint]``, whitespace ignored.  ``to_text`` and
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 RatLike = Union[Fraction, int, str]
 
@@ -281,15 +286,25 @@ class Poly:
         return anti - Poly.constant(anti(a))
 
     def __call__(self, t: RatLike) -> Fraction:
-        """Exact Horner evaluation on the numerators; one ``Fraction`` at the end."""
-        t = as_rat(t)
+        """Exact value at t; one ``Fraction`` from :meth:`_at`."""
+        return Fraction(*self._at(as_rat(t)))
+
+    def _at(self, t: "Fraction | int") -> tuple[int, int]:
+        """Unreduced value at t = p/q as ``(num, den)``, den = self.den * q**degree.
+
+        Horner on the numerators; den is ``self.den`` at an integer t, (0, 1) for zero.
+        """
         p, q = t.numerator, t.denominator
-        # acc = sum num[i] * p**i * q**(n-i), the value times den * q**n
-        acc, scale = 0, 1
+        acc = 0
+        if q == 1:
+            for c in reversed(self.num):
+                acc = acc * p + c
+            return acc, self.den
+        scale = 1
         for c in reversed(self.num):
             acc = acc * p + c * scale
             scale *= q
-        return Fraction(acc, self.den * scale // q) if acc else Fraction(0)
+        return (acc, self.den * scale // q) if self.num else (0, 1)
 
     def compose_affine(self, mu: RatLike, nu: RatLike) -> "Poly":
         """Return p(mu*x + nu), by an integer Taylor shift."""
@@ -424,16 +439,25 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
 def lagrange(points: Iterable[tuple[RatLike, RatLike]]) -> Poly:
     """Unique polynomial of degree < len(points) through the given points.
 
-    O(n**2) integer work: with the nodes over one denominator d, so that
-    x_j = p_j / d, the basis polynomial of node l is N_l(X) / w_l in
-    X = d*x, where N_l is the node polynomial prod_j (X - p_j) divided
-    exactly by X - p_l and w_l = prod_{j != l} (p_l - p_j).  The terms are
-    summed over one common denominator and reduced once.
-
-    Raises :class:`DuplicateAbscissa` when two nodes share an x-value.
+    The :func:`_nodes` map of the x-values applied to the y-values; raises
+    :class:`DuplicateAbscissa` when two nodes share an x-value.
     """
     pts = [(as_rat(x), as_rat(y)) for x, y in points]
-    xs = [x for x, _ in pts]
+    return _nodes([x for x, _ in pts])([(y.numerator, y.denominator) for _, y in pts])
+
+
+def _nodes(xs: Sequence[RatLike]) -> Callable[[Sequence[tuple[int, int]]], Poly]:
+    """The interpolation map at nodes ``xs``, from values ``(num, den)``, den != 0, to a Poly.
+
+    The node work is done here, once, in O(n**2) integers: with the nodes
+    over one denominator d, x_l = p_l / d, node l has the basis polynomial
+    N_l(X) / w_l in X = d*x, N_l the node polynomial prod_j (X - p_j) divided
+    exactly by X - p_l and w_l = prod_{j != l} (p_l - p_j); N_l is kept in x
+    with the sign of w_l.  The map sums n_l * N_l / (den_l * |w_l|) over one
+    lcm and reduces once.  Raises :class:`DuplicateAbscissa` when two nodes
+    share an x-value.
+    """
+    xs = [as_rat(x) for x in xs]
     if len(set(xs)) != len(xs):
         raise DuplicateAbscissa("interpolation nodes must have distinct x-values")
     d = math.lcm(*(x.denominator for x in xs))
@@ -441,24 +465,27 @@ def lagrange(points: Iterable[tuple[RatLike, RatLike]]) -> Poly:
     node = [1]  # prod (X - p_j), low degree first
     for p in ps:
         node = [u - p * v for u, v in zip([0] + node, node + [0])]
-    # y_l / w_l for every nonzero value, then one common denominator
-    weights = [
-        (pl, yl / math.prod(pl - pj for pj in ps if pj != pl))
-        for pl, (_, yl) in zip(ps, pts)
-        if yl
-    ]
-    den = math.lcm(*(q.denominator for _, q in weights))
-    out = [0] * len(ps)
-    for pl, q in weights:
-        scale = q.numerator * (den // q.denominator)
+    basis = []
+    for pl in ps:
+        w = math.prod(pl - pj for pj in ps if pj != pl)
+        sign = 1 if w > 0 else -1
         # synthetic division of the node polynomial by X - p_l, top down
-        c = 0
+        quo, c = [0] * len(ps), 0
         for i in range(len(ps), 0, -1):
             c = node[i] + pl * c
-            out[i - 1] += scale * c
-    # substitute X = d*x
-    power = 1
-    for i in range(1, len(out)):
-        power *= d
-        out[i] *= power
-    return _normal(out, den)
+            quo[i - 1] = sign * c * d ** (i - 1)  # substitute X = d*x
+        basis.append((abs(w), quo))
+
+    def combine(ys: Sequence[tuple[int, int]]) -> Poly:
+        if len(ys) != len(basis):
+            raise ValueError("need one value per interpolation node")
+        terms = [(n, e * w, quo) for (n, e), (w, quo) in zip(ys, basis) if n]
+        den = math.lcm(*(e for _, e, _ in terms))
+        out = [0] * len(basis)
+        for n, e, quo in terms:
+            scale = n * (den // e)
+            for i, c in enumerate(quo):
+                out[i] += scale * c
+        return _normal(out, den)
+
+    return combine

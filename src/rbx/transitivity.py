@@ -42,7 +42,7 @@ from .actions import (
     inverse_word,
 )
 from .operators import AnalyticOp
-from .poly import Poly, lagrange
+from .poly import Poly, _nodes
 
 
 class BasePointMismatch(ValueError):
@@ -97,10 +97,11 @@ class _DiagonalTuple:
         _shared_base(self.ops)
         for i, op in enumerate(self.ops):
             for j, b in enumerate(self.base_points):
-                expected = self.values[i] if i == j else Fraction(0)
-                if op.r(b) != expected:
+                e = self.values[i] if i == j else 0
+                n, d = op.r._at(b)
+                if n * e.denominator != e.numerator * d:
                     raise ValueError(
-                        f"member {i} evaluates to {op.r(b)} at point {j}, expected {expected}"
+                        f"member {i} evaluates to {op.r(b)} at point {j}, expected {e}"
                     )
 
 
@@ -118,6 +119,13 @@ def _rank(rs: Sequence[Poly]) -> int:
     return linalg.rank([[r.coeff(j) for j in range(width)] for r in rs])
 
 
+def _row(r: Poly, points: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values (r(b))_b as integers over their lcm, and that lcm (r.den at integer points)."""
+    vals = [r._at(b) for b in points]
+    den = math.lcm(*(d for _, d in vals))
+    return [n * (den // d) for n, d in vals], den
+
+
 def _scan(n: int) -> list[Fraction]:
     """The first n points of 0, 1, -1, 2, -2, ..."""
     return [Fraction((k + 1) // 2 * (-1) ** (k + 1)) for k in range(n)]
@@ -127,12 +135,12 @@ def _fiber_move(src: AnalyticOp, dst: AnalyticOp, b: Fraction) -> Shear:
     """The shear at b carrying src to dst within one fiber of the evaluation map."""
     if src.a != dst.a:
         raise BasePointMismatch("fiber moves keep the integration base point fixed")
-    c1, c2 = src.r(b), dst.r(b)
-    if c1 != c2:
-        raise FiberMismatch(f"multiplier values at {b} differ: {c1} vs {c2}")
-    if c1 == 0:
+    (n1, d1), (n2, d2) = src.r._at(b), dst.r._at(b)
+    if n1 * d2 != n2 * d1:
+        raise FiberMismatch(f"multiplier values at {b} differ: {src.r(b)} vs {dst.r(b)}")
+    if not n1:
         raise ZeroFiberValue(f"multiplier value at {b} must be nonzero")
-    return Shear(b, (dst.r - src.r) * (1 / c1))
+    return Shear(b, (dst.r - src.r) * Fraction(d1, n1))
 
 
 def solve_single(op1: AnalyticOp, op2: AnalyticOp) -> Word:
@@ -160,7 +168,7 @@ def _select_basepoints(rs: Sequence[Poly], avoid: Sequence[Fraction] = ()) -> li
     """
     width = max((len(r.num) for r in rs), default=0)
     points = [b for b in _scan(width + len(avoid)) if b not in avoid][:width]
-    pivots, _ = linalg._eliminate([[r(b) for b in points] for r in rs])
+    pivots, _ = linalg._eliminate([_row(r, points)[0] for r in rs])
     if len(pivots) < len(rs):
         raise LinearlyDependent("multipliers must be linearly independent")
     return [points[j] for j in pivots]
@@ -190,12 +198,8 @@ def _diagonalize_tuple(
     if len(points) != m or len(set(points)) != m:
         raise ValueError("need as many distinct evaluation points as operators")
     _shared_base(ops)
-    rows, dens = [], []
-    for op in ops:
-        vals = [op.r(b) for b in points]
-        den = math.lcm(*(v.denominator for v in vals))
-        rows.append([v.numerator * (den // v.denominator) for v in vals])
-        dens.append(den)
+    rows, dens = zip(*(_row(op.r, points) for op in ops))
+    interpolate = None  # the node set at points, built by the first shear
     word: list[Generator] = []
     used: list[int] = []
     values: list[Fraction] = []
@@ -206,10 +210,11 @@ def _diagonalize_tuple(
         if pivot is None:
             raise LinearlyDependent("evaluation matrix must be invertible")
         lead = top[pivot]
-        lams = [Fraction(-w * gn, gd * lead) for w, (gn, gd) in zip(top, g)]
-        lams[pivot] = 0
-        if any(lams):
-            word.append(Shear(points[pivot], lagrange(zip(points, lams))))
+        lams = [(-w * gn, gd * lead) for w, (gn, gd) in zip(top, g)]
+        lams[pivot] = (0, 1)
+        if any(n for n, _ in lams):
+            interpolate = interpolate or _nodes(points)
+            word.append(Shear(points[pivot], interpolate(lams)))
         for row in rows[i + 1 :]:
             c = row[pivot]
             row[:] = [(lead * v - w * c) // prev for v, w in zip(row, top)]
@@ -244,14 +249,16 @@ def _bridge_tuple(
     if any(c == 0 for c in dst_values):
         raise ZeroFiberValue("destination values must be nonzero")
     node = math.prod((Poly((-p, 1)) for p in src.base_points), start=Poly.one())
-    nodes = [node(q) for q in dst_points]
+    nodes = [node._at(q) for q in dst_points]
+    interpolate = _nodes(dst_points)
     targets = []
     for k, op in enumerate(src.ops):
-        correction = lagrange(
-            (q, ((dst_values[k] if j == k else 0) - op.r(q)) / n)
-            for j, (q, n) in enumerate(zip(dst_points, nodes))
-        )
-        targets.append(AnalyticOp(op.a, op.r + node * correction))
+        ys = []  # (d_k * delta_kj - r_k(q_j)) / N(q_j), unreduced
+        for j, (q, (nn, nd)) in enumerate(zip(dst_points, nodes)):
+            rn, rd = op.r._at(q)
+            cn, cd = (dst_values[k].numerator, dst_values[k].denominator) if j == k else (0, 1)
+            ys.append(((cn * rd - rn * cd) * nd, cd * rd * nn))
+        targets.append(AnalyticOp(op.a, op.r + node * interpolate(ys)))
     word = _fiber_moves(src.ops, targets, src.base_points)
     return word, _DiagonalTuple(tuple(dst_points), tuple(dst_values), tuple(targets))
 

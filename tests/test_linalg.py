@@ -154,3 +154,18 @@ def test_ragged_raises():
         linalg.rank([[1, 2], [3]])
     with pytest.raises(ValueError, match="ragged"):
         linalg.det([[1, 2], [3]])
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_integer_rows_match_fraction_rows(nrows, ncols, data):
+    """``_eliminate`` on int entries gives the pivots and determinant of the same Fraction rows."""
+    ints = data.draw(st.lists(
+        st.lists(st.integers(-(2**40), 2**40) | st.integers(-2, 2), min_size=ncols, max_size=ncols),
+        min_size=nrows, max_size=nrows,
+    ))
+    pivots, det = linalg._eliminate([list(row) for row in ints])
+    assert (pivots, det) == linalg._eliminate([[Fraction(c) for c in row] for row in ints])
+    rank, ref_det = ref_gauss(ints)
+    assert len(pivots) == rank
+    if nrows == ncols:
+        assert det == ref_det

@@ -13,6 +13,7 @@ from rbx.poly import (
     DuplicateAbscissa,
     Poly,
     PolyParseError,
+    _nodes,
     as_rat,
     common_root,
     gcd,
@@ -113,6 +114,31 @@ class TestIntegerKernel:
         p = Poly((Fraction(-1, 6), 0, Fraction(4, 9)))
         assert pickle.loads(pickle.dumps(p)) == p
         assert copy.deepcopy(p) == p
+
+
+class TestEvaluationKernel:
+    """``Poly._at``, the unreduced integer value that every evaluation goes through."""
+
+    @given(ref_lists, tall_rationals)
+    def test_matches_reference(self, a, t):
+        p = Poly(tuple(a))
+        n, d = p._at(t)
+        assert Fraction(n, d) == ref_eval(a, t) == p(t)
+        if p:
+            assert d == p.den * t.denominator**p.degree
+
+    @given(ref_lists, st.integers(-(2**70), 2**70))
+    def test_integer_point_keeps_the_denominator(self, a, t):
+        p = Poly(tuple(a))
+        for point in (t, Fraction(t)):
+            n, d = p._at(point)
+            assert d == p.den
+            assert Fraction(n, d) == ref_eval(a, Fraction(t))
+
+    @given(tall_rationals)
+    def test_zero_polynomial(self, t):
+        assert Poly.zero()._at(t) == (0, 1)
+        assert Poly.zero()(t) == 0
 
 
 class TestRingOps:
@@ -282,6 +308,54 @@ class TestLagrange:
         assert p.degree < max(len(points), 1)
         for x, y in points:
             assert p(x) == y
+
+
+def ref_weights(xs):
+    return [math.prod(xl - xj for xj in xs if xj != xl) for xl in xs]
+
+
+# nodes over mixed denominators, small and tall
+mixed_nodes = st.lists(
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7)) | tall_rationals,
+    min_size=1, max_size=7, unique=True,
+)
+
+
+class TestNodeSet:
+    """One ``_nodes`` map, built once, interpolates any number of value vectors."""
+
+    @given(mixed_nodes, st.data())
+    def test_several_vectors_match_reference(self, xs, data):
+        interpolate = _nodes(xs)
+        vectors = data.draw(st.lists(
+            st.lists(tall_rationals, min_size=len(xs), max_size=len(xs)), min_size=1, max_size=4
+        ))
+        vectors.append([Fraction(0)] * len(xs))
+        for ys in vectors:
+            got = interpolate([(y.numerator, y.denominator) for y in ys])
+            assert list(got.coeffs) == ref_lagrange(list(zip(xs, ys)))
+            assert got == lagrange(zip(xs, ys))
+
+    @given(mixed_nodes.filter(lambda xs: len(xs) >= 2), st.data())
+    def test_negative_weights_and_unreduced_values(self, xs, data):
+        assert any(w < 0 for w in ref_weights(xs))
+        ys = data.draw(st.lists(tall_rationals, min_size=len(xs), max_size=len(xs)))
+        k = data.draw(st.sampled_from([-3, -1, 2, 7]))
+        got = _nodes(xs)([(y.numerator * k, y.denominator * k) for y in ys])
+        assert list(got.coeffs) == ref_lagrange(list(zip(xs, ys)))
+
+    def test_all_zero_vector(self):
+        assert _nodes([Fraction(1, 2), -3, 5])([(0, 1), (0, -4), (0, 9)]).is_zero()
+
+    @given(mixed_nodes, st.data())
+    def test_duplicate_raises_when_built(self, xs, data):
+        x = data.draw(st.sampled_from(xs))
+        with pytest.raises(DuplicateAbscissa):
+            _nodes(xs + [x])
+
+    def test_value_count_must_match(self):
+        with pytest.raises(ValueError):
+            _nodes([0, 1])([(1, 1)])
 
 
 def linear(a) -> Poly:

@@ -300,6 +300,26 @@ class TestDiagonalize:
             assert apply_word_tuple(word, ops) == list(diag.ops)
 
 
+class TestNodeSetPerDiagonalisation:
+    """``_diagonalize_tuple`` builds one node set for all its shears, and none without a shear."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = []
+        real = transitivity._nodes
+        monkeypatch.setattr(transitivity, "_nodes", lambda xs: count.append(xs) or real(xs))
+        return count
+
+    def test_one_member_builds_none(self, builds):
+        word, _ = _diagonalize_tuple([AnalyticOp(0, Poly((1, 2, 3)))], [Fraction(0)])
+        assert word == () and builds == []
+
+    def test_shears_share_one(self, builds):
+        ops = [AnalyticOp(0, Poly(cs)) for cs in ((-2, -1), (-1, -3), (-1, 0, -1))]
+        word, _ = _diagonalize_tuple(ops, [Fraction(0), Fraction(1), Fraction(2)])
+        assert len(word) == 3 and len(builds) == 1
+
+
 class TestSingularPattern:
     @pytest.mark.parametrize(
         "rs,points",
@@ -391,6 +411,48 @@ class TestDiagonalizeMatchesReference:
         word, diag = _diagonalize_tuple(ops, points)
         assert (word, diag.base_points, diag.values) == ref_diagonalize(ops, points)
         return word, diag
+
+
+half, two_thirds = Fraction(1, 2), Fraction(2, 3)
+
+
+class TestDiagonalPatternCheck:
+    """``_DiagonalTuple`` refuses every tuple off its pattern r_i(b_j) = c_i * delta_ij."""
+
+    # (points, multipliers, values): diagonal at integer and at non-integer points
+    INTEGER = ((0, 1), (Poly((1, -1)), Poly((0, 2))), (1, 2))
+    FRACTIONAL = (
+        (half, -two_thirds),
+        (Poly((two_thirds, 1)), Poly((-Fraction(3, 2), 3))),
+        (Fraction(7, 6), Fraction(-7, 2)),
+    )
+
+    @staticmethod
+    def build(points, rs, values):
+        ops = tuple(AnalyticOp(0, r) for r in rs)
+        return _DiagonalTuple(tuple(map(Fraction, points)), tuple(map(Fraction, values)), ops)
+
+    @pytest.mark.parametrize("case", [INTEGER, FRACTIONAL], ids=["integer", "fractional"])
+    def test_accepts_the_pattern(self, case):
+        assert self.build(*case).values == tuple(map(Fraction, case[2]))
+
+    @pytest.mark.parametrize("case", [INTEGER, FRACTIONAL], ids=["integer", "fractional"])
+    @pytest.mark.parametrize("member", [0, 1])
+    def test_rejects_a_diagonal_value_off_by_one(self, case, member):
+        points, rs, values = case
+        values = tuple(Fraction(c) + (i == member) for i, c in enumerate(values))
+        with pytest.raises(ValueError, match="evaluates to"):
+            self.build(points, rs, values)
+
+    @pytest.mark.parametrize("case", [INTEGER, FRACTIONAL], ids=["integer", "fractional"])
+    def test_rejects_a_nonzero_off_diagonal_entry(self, case):
+        points, (r0, r1), values = case
+        # r1 + 1/5 keeps its diagonal value up to the shift, which the values follow,
+        # and no longer vanishes at points[0]
+        bumped = r1 + Poly.constant(Fraction(1, 5))
+        values = (values[0], Fraction(values[1]) + Fraction(1, 5))
+        with pytest.raises(ValueError, match="member 1 evaluates to 1/5 at point 0"):
+            self.build(points, (r0, bumped), values)
 
 
 class TestBridge:
