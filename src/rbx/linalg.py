@@ -9,34 +9,35 @@ from typing import Sequence
 from .poly import RatLike, as_rat
 
 
-def _copy(rows: Sequence[Sequence[RatLike]]) -> list[list[Fraction]]:
-    out = [[as_rat(c) for c in row] for row in rows]
+def _scaled(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Values ``(num, den)`` as integers over the lcm of their denominators, and that lcm."""
+    den = math.lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _copy(rows: Sequence[Sequence[RatLike]]) -> tuple[list[list[int]], int]:
+    """The rows each scaled to integers by :func:`_scaled`, and the product of the scales."""
+    out, scale = [], 1
+    for row in rows:
+        ints, den = _scaled([(c.numerator, c.denominator) for c in map(as_rat, row)])
+        out.append(ints)
+        scale *= den
     if out and any(len(row) != len(out[0]) for row in out):
         raise ValueError("ragged matrix")
-    return out
+    return out, scale
 
 
-def _eliminate(mat: list[list["Fraction | int"]]) -> tuple[list[int], Fraction]:
-    """Pivot columns, and determinant when square, by Bareiss elimination (Math. Comp. 22, 1968).
+def _eliminate(ints: list[list[int]]) -> tuple[list[int], int]:
+    """Pivot columns, and determinant when square (else 0), of integer rows.
 
-    Entries may be ``int`` or ``Fraction``; integer rows, as the word synthesis
-    builds them, are used as they are.
+    Bareiss elimination (Math. Comp. 22, 1968), in place.  Columns are taken
+    left to right, so a column is a pivot exactly when it is independent of
+    the columns before it; the number of pivots is the rank.
 
-    Columns are taken left to right, so a column is a pivot exactly when it
-    is independent of the columns before it; the number of pivots is the
-    rank.
-
-    Each row is first scaled to integers by the lcm of its denominators.
     Every entry after the elimination step at pivot ``prev`` is a minor of
-    the scaled matrix, so the division by the previous pivot is exact and
-    the last pivot is the determinant up to the row scales and the sign of
-    the row swaps.
+    the matrix, so the division by the previous pivot is exact and the last
+    pivot is the determinant up to the sign of the row swaps.
     """
-    ints, scale = [], 1
-    for row in mat:
-        den = math.lcm(*(c.denominator for c in row))
-        ints.append([c.numerator * (den // c.denominator) for c in row])
-        scale *= den
     nrows, ncols = len(ints), len(ints[0]) if ints else 0
     pivots: list[int] = []
     r, sign, prev = 0, 1, 1
@@ -58,18 +59,17 @@ def _eliminate(mat: list[list["Fraction | int"]]) -> tuple[list[int], Fraction]:
         prev = lead
         pivots.append(col)
         r += 1
-    square_full = r == nrows == ncols
-    return pivots, Fraction(sign * prev, scale) if square_full else Fraction(0)
+    return pivots, sign * prev if r == nrows == ncols else 0
 
 
 def rank(rows: Sequence[Sequence[RatLike]]) -> int:
     """Exact rank."""
-    return len(_eliminate(_copy(rows))[0])
+    return len(_eliminate(_copy(rows)[0])[0])
 
 
 def det(rows: Sequence[Sequence[RatLike]]) -> Fraction:
     """Exact determinant of a square matrix."""
-    mat = _copy(rows)
+    mat, scale = _copy(rows)
     if any(len(row) != len(mat) for row in mat):
         raise ValueError("determinant needs a square matrix")
-    return _eliminate(mat)[1]
+    return Fraction(_eliminate(mat)[1], scale)

@@ -8,10 +8,7 @@ zero polynomial has no coefficients and its degree is the sentinel
 silently wrong.  ``gcd`` is a primitive remainder sequence over the
 integers and ``common_root`` reads a rational root off it.
 
-Evaluation and interpolation run on the integers too: ``Poly._at`` gives
-the unreduced value as an integer pair, and ``_nodes`` does the node work of
-Lagrange interpolation once per node set, for any number of value vectors;
-``lagrange`` applies it to one.
+Evaluation (``Poly._at``) and interpolation (``_nodes``) run on the integers too.
 
 The module also owns the polynomial text grammar used by the CLI and the
 JSON payloads: a sum of terms ``[+-] coef [*] [x [^ exp]]`` with ``coef``
@@ -295,12 +292,7 @@ class Poly:
         Horner on the numerators; den is ``self.den`` at an integer t, (0, 1) for zero.
         """
         p, q = t.numerator, t.denominator
-        acc = 0
-        if q == 1:
-            for c in reversed(self.num):
-                acc = acc * p + c
-            return acc, self.den
-        scale = 1
+        acc, scale = 0, 1
         for c in reversed(self.num):
             acc = acc * p + c * scale
             scale *= q
@@ -449,13 +441,11 @@ def lagrange(points: Iterable[tuple[RatLike, RatLike]]) -> Poly:
 def _nodes(xs: Sequence[RatLike]) -> Callable[[Sequence[tuple[int, int]]], Poly]:
     """The interpolation map at nodes ``xs``, from values ``(num, den)``, den != 0, to a Poly.
 
-    The node work is done here, once, in O(n**2) integers: with the nodes
-    over one denominator d, x_l = p_l / d, node l has the basis polynomial
-    N_l(X) / w_l in X = d*x, N_l the node polynomial prod_j (X - p_j) divided
-    exactly by X - p_l and w_l = prod_{j != l} (p_l - p_j); N_l is kept in x
-    with the sign of w_l.  The map sums n_l * N_l / (den_l * |w_l|) over one
-    lcm and reduces once.  Raises :class:`DuplicateAbscissa` when two nodes
-    share an x-value.
+    The node work is done once, on integers: with x_l = p_l / d over one
+    denominator, node l has the basis N_l(X) / w_l in X = d*x, N_l = prod_{j != l}
+    (X - p_j) kept in x with the sign of w_l = N_l(p_l).  The map sums
+    n_l * N_l / (den_l * |w_l|) over one lcm.  Raises :class:`DuplicateAbscissa`
+    when two nodes share an x-value.
     """
     xs = [as_rat(x) for x in xs]
     if len(set(xs)) != len(xs):

@@ -119,13 +119,6 @@ def _rank(rs: Sequence[Poly]) -> int:
     return linalg.rank([[r.coeff(j) for j in range(width)] for r in rs])
 
 
-def _row(r: Poly, points: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The values (r(b))_b as integers over their lcm, and that lcm (r.den at integer points)."""
-    vals = [r._at(b) for b in points]
-    den = math.lcm(*(d for _, d in vals))
-    return [n * (den // d) for n, d in vals], den
-
-
 def _scan(n: int) -> list[Fraction]:
     """The first n points of 0, 1, -1, 2, -2, ..."""
     return [Fraction((k + 1) // 2 * (-1) ** (k + 1)) for k in range(n)]
@@ -168,7 +161,7 @@ def _select_basepoints(rs: Sequence[Poly], avoid: Sequence[Fraction] = ()) -> li
     """
     width = max((len(r.num) for r in rs), default=0)
     points = [b for b in _scan(width + len(avoid)) if b not in avoid][:width]
-    pivots, _ = linalg._eliminate([_row(r, points)[0] for r in rs])
+    pivots, _ = linalg._eliminate([linalg._scaled([r._at(b) for b in points])[0] for r in rs])
     if len(pivots) < len(rs):
         raise LinearlyDependent("multipliers must be linearly independent")
     return [points[j] for j in pivots]
@@ -198,7 +191,7 @@ def _diagonalize_tuple(
     if len(points) != m or len(set(points)) != m:
         raise ValueError("need as many distinct evaluation points as operators")
     _shared_base(ops)
-    rows, dens = zip(*(_row(op.r, points) for op in ops))
+    rows, dens = zip(*(linalg._scaled([op.r._at(b) for b in points]) for op in ops))
     interpolate = None  # the node set at points, built by the first shear
     word: list[Generator] = []
     used: list[int] = []

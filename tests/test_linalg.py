@@ -158,14 +158,19 @@ def test_ragged_raises():
 
 @given(st.integers(0, 4), st.integers(0, 4), st.data())
 def test_integer_rows_match_fraction_rows(nrows, ncols, data):
-    """``_eliminate`` on int entries gives the pivots and determinant of the same Fraction rows."""
+    """Integer rows and the same rows as Fractions, or divided by a per-row scale, agree."""
     ints = data.draw(st.lists(
         st.lists(st.integers(-(2**40), 2**40) | st.integers(-2, 2), min_size=ncols, max_size=ncols),
         min_size=nrows, max_size=nrows,
     ))
+    scales = data.draw(st.lists(st.integers(1, 12), min_size=nrows, max_size=nrows))
+    fracs = [[Fraction(c) for c in row] for row in ints]
+    divided = [[Fraction(c, k) for c in row] for row, k in zip(ints, scales)]
+    assert linalg._copy(fracs) == (ints, 1)
     pivots, det = linalg._eliminate([list(row) for row in ints])
-    assert (pivots, det) == linalg._eliminate([[Fraction(c) for c in row] for row in ints])
     rank, ref_det = ref_gauss(ints)
-    assert len(pivots) == rank
+    assert len(pivots) == rank == linalg.rank(fracs) == linalg.rank(divided)
+    assert pivots == linalg._eliminate(linalg._copy(divided)[0])[0]
     if nrows == ncols:
-        assert det == ref_det
+        assert det == ref_det == linalg.det(fracs)
+        assert linalg.det(divided) == Fraction(det, math.prod(scales))
