@@ -27,6 +27,7 @@ budget can still accept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -40,13 +41,13 @@ class IndexTooSmall(ValueError):
     """Coordinate index does not exceed the multiplier degree; nothing to eliminate."""
 
 
-def _context(r: Poly, n: int = 0, m: int = 0) -> tuple[tuple[Fraction, ...], int]:
-    """The multiplier coefficients and degree, once r is nonzero and n, m are non-negative."""
+def _context(r: Poly, n: int = 0, m: int = 0) -> int:
+    """The multiplier degree, once r is nonzero and n, m are non-negative."""
     if r.is_zero():
         raise ValueError("context multiplier must be nonzero")
     if n < 0 or m < 0:
         raise ValueError("pair indices must be non-negative")
-    return r.coeffs, r.degree
+    return r.degree
 
 
 @dataclass(frozen=True)
@@ -106,42 +107,55 @@ def functional_residual(fc: FunctionalCoords, f: Poly, g: Poly) -> Fraction:
     return fc.pairing(f) * fc.pairing(g) + fc.pairing(argument)
 
 
-def _equation(rs: Sequence[Fraction], c, n: int, m: int, top: bool = True):
-    """c_n c_m + sum_i (1/(i+n+1) + 1/(i+m+1)) r_i c_(i+n+m+1), coordinates read as c(index).
+def _scaled_equation(r: Poly, c, n: int, m: int, top: bool = True):
+    """s times the (n, m) equation, s, and the weight of its top term.
 
-    ``rs`` are the multiplier coefficients.  Works in any ring the
-    coordinates live in (rationals, ``MPoly``, ``Poly`` in the base point).
-    With ``top=False`` the i = deg r term, the highest coordinate, is left out.
+    Coordinates are read as c(index).  With L the lcm of the (i+n+1)(i+m+1)
+    and s = L * den(r), each coefficient s * (1/(i+n+1) + 1/(i+m+1)) * r_i is
+    an integer weight w_i, so the value s c_n c_m + sum_i w_i c_(i+n+m+1)
+    needs no ``Fraction`` per term, and is zero exactly when the equation
+    is.  Works in any ring the coordinates live in (rationals, ``MPoly``,
+    ``Poly`` in the base point).  With ``top=False`` the i = deg r term, the
+    highest coordinate, is left out of the value.
     """
-    value = c(n) * c(m)
+    rs = r.num
+    dens = [(i + n + 1) * (i + m + 1) for i in range(len(rs))]
+    lcm = math.lcm(*dens)
+    s = lcm * r.den
+    ws = [(2 * i + n + m + 2) * (lcm // d) * ri for i, (d, ri) in enumerate(zip(dens, rs))]
+    value = c(n) * c(m) * s
     for i in range(len(rs) if top else len(rs) - 1):
-        if rs[i]:
-            coef = Fraction(2 * i + n + m + 2, (i + n + 1) * (i + m + 1)) * rs[i]
-            value = value + c(i + n + m + 1) * coef
-    return value
+        if ws[i]:
+            value = value + c(i + n + m + 1) * ws[i]
+    return value, s, ws[-1]
 
 
-def _step(rs: Sequence[Fraction], c, t: int):
+def _equation(r: Poly, c, n: int, m: int):
+    """c_n c_m + sum_i (1/(i+n+1) + 1/(i+m+1)) r_i c_(i+n+m+1), coordinates read as c(index)."""
+    value, s, _ = _scaled_equation(r, c, n, m)
+    return value * Fraction(1, s)
+
+
+def _step(r: Poly, c, t: int):
     """c_t solved from the (t-1-k, 0) equation, in the coordinates below it read as c(index).
 
-    The divisor (1/t + 1/(k+1)) * lead(r) is nonzero in characteristic zero.
+    The weight of c_t, s * (1/t + 1/(k+1)) * lead(r), is nonzero in characteristic zero.
     """
-    k = len(rs) - 1
-    divisor = Fraction(t + k + 1, t * (k + 1)) * rs[k]
-    return _equation(rs, c, t - 1 - k, 0, top=False) * (-1 / divisor)
+    value, _, lead = _scaled_equation(r, c, t - 1 - r.degree, 0, top=False)
+    return value * Fraction(-1, lead)
 
 
-def _extend(rs: Sequence[Fraction], head: list, top: int) -> list:
+def _extend(r: Poly, head: list, top: int) -> list:
     """Extend the coordinates c_0 .. c_k .. up to c_top, each new one solved by ``_step``."""
     for t in range(len(head), top + 1):
-        head.append(_step(rs, head.__getitem__, t))
+        head.append(_step(r, head.__getitem__, t))
     return head
 
 
 def coordinate_equation(r: Poly, n: int, m: int) -> MPoly:
     """The quadratic coordinate equation for the pair (n, m), as a polynomial in the c_i."""
-    rs, _ = _context(r, n, m)
-    return _equation(rs, MPoly.variable, n, m)
+    _context(r, n, m)
+    return _equation(r, MPoly.variable, n, m)
 
 
 def elimination_polynomial(r: Poly, t: int) -> MPoly:
@@ -149,10 +163,10 @@ def elimination_polynomial(r: Poly, t: int) -> MPoly:
 
     Solves the (n = t-1-k, m = 0) instance of the coordinate system for c_t.
     """
-    rs, k = _context(r)
+    k = _context(r)
     if t <= k:
         raise IndexTooSmall(f"coordinate {t} is free; only indices above {k} are eliminable")
-    return _step(rs, MPoly.variable, t)
+    return _step(r, MPoly.variable, t)
 
 
 def reduced_equation(r: Poly, n: int, m: int) -> MPoly:
@@ -161,11 +175,11 @@ def reduced_equation(r: Poly, n: int, m: int) -> MPoly:
     Writes c_(k+1) .. c_(n+m+k+1) in c_0 .. c_k, lowest first, each by one
     elimination step over the ones before it, then evaluates the equation.
     """
-    rs, k = _context(r, n, m)
+    k = _context(r, n, m)
     if min(n, m) == 0:  # the step for c_(n+m+k+1) solves this very equation
         return MPoly.zero()
-    coords = _extend(rs, [MPoly.variable(i) for i in range(k + 1)], n + m + k + 1)
-    return _equation(rs, coords.__getitem__, n, m)
+    coords = _extend(r, [MPoly.variable(i) for i in range(k + 1)], n + m + k + 1)
+    return _equation(r, coords.__getitem__, n, m)
 
 
 def vanishes_on_curve(r: Poly, n: int, m: int) -> bool:
@@ -175,9 +189,9 @@ def vanishes_on_curve(r: Poly, n: int, m: int) -> bool:
     polynomial in the base point.  Substituting the curve commutes with the
     elimination steps, so no reduced ``MPoly`` equation is built.
     """
-    rs, k = _context(r, n, m)
-    coords = _extend(rs, curve_coords_symbolic(r, k + 1), n + m + k + 1)
-    return not _equation(rs, coords.__getitem__, n, m)
+    k = _context(r, n, m)
+    coords = _extend(r, curve_coords_symbolic(r, k + 1), n + m + k + 1)
+    return not _scaled_equation(r, coords.__getitem__, n, m)[0]
 
 
 def satisfies_system(r: Poly, head: Sequence[RatLike], budget: "int | None" = None) -> bool:
@@ -194,7 +208,7 @@ def satisfies_system(r: Poly, head: Sequence[RatLike], budget: "int | None" = No
     failure decides.  The pairs with n = 0 or m = 0 are the ones the
     elimination steps solve.
     """
-    rs, k = _context(r)
+    k = _context(r)
     if len(head) != k + 1:
         raise ValueError(f"head must have length {k + 1}, got {len(head)}")
     if budget is not None and budget < 0:
@@ -204,9 +218,9 @@ def satisfies_system(r: Poly, head: Sequence[RatLike], budget: "int | None" = No
     if on_curve or budget is None:
         return on_curve
     for s in range(2, 2 * budget + 1):
-        _extend(rs, coords, s + k + 1)
+        _extend(r, coords, s + k + 1)
         for n in range(max(1, s - budget), s // 2 + 1):
-            if _equation(rs, coords.__getitem__, n, s - n):
+            if _scaled_equation(r, coords.__getitem__, n, s - n)[0]:
                 return False
     return True
 
@@ -219,7 +233,7 @@ def recover_base_point(r: Poly, head: Sequence[RatLike]) -> "Fraction | None":
     linear factor.  The first deg r + 1 entries already pin at most one
     point, as in ``operator_to_point``.
     """
-    _, k = _context(r)
+    k = _context(r)
     if len(head) < k + 1:
         raise ValueError(f"head must have at least {k + 1} entries, got {len(head)}")
     entries = curve_coords_symbolic(r, len(head))

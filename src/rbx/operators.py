@@ -9,12 +9,15 @@ the list of their images.
 The canonicalisation path builds no ``Poly`` per monomial: ``truncate``
 writes each image's integer numerators in one pass, the identity check
 loops over the nonzero entries of integer rows over one common
-denominator, and the multiplier is read off rows shifted by n.
+denominator, and the multiplier is checked against each row shifted by n
+by integer cross-multiplication.
 
-``operator_to_point`` recovers the moduli point from a truncation: the
-multiplier comes from differentiating the images, the base point is read
-off the gcd of the low-degree images, and the result is re-verified by an
-exact round trip.
+``operator_to_point`` recovers the moduli point from a truncation in one
+pass over its images: the multiplier r comes from differentiating them,
+the base point a is read off the gcd of the low-degree images, and every
+image must vanish at a.  Since each image already has the derivative of
+the image of (a, r), that check is exactly the round trip
+``AnalyticOp(a, r).truncate(N) == op``, with no second truncation.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, RatLike, _normal, as_rat, common_root, rat_text
+from .poly import Poly, RatLike, _raw, as_rat, common_root, rat_text
 
 
 class TruncationTooSmall(ValueError):
@@ -70,7 +73,7 @@ class AnalyticOp:
         """
         if n < 0:
             raise ValueError("truncation degree must be non-negative")
-        rs, k = self.r.num, self.r.degree
+        rs, den, k = self.r.num, self.r.den, self.r.degree
         p, q = self.a.numerator, self.a.denominator
         mixed = [p**j * q ** (k - j) for j in range(k + 1)]
         p_pow, q_pow = p, q ** (k + 1)
@@ -79,8 +82,11 @@ class AnalyticOp:
             lcm = math.lcm(*range(i + 1, i + k + 2))
             ts = [c * (lcm // (i + j + 1)) for j, c in enumerate(rs)]
             const = -p_pow * sum(t * w for t, w in zip(ts, mixed))
-            num = [const] + [0] * i + [t * q_pow for t in ts]
-            images.append(_normal(num, self.r.den * lcm * q_pow))
+            high = [t * q_pow for t in ts]
+            scale = den * lcm * q_pow
+            g = math.gcd(scale, const, *high)  # the gap of i zeros adds nothing to the gcd
+            num = (const // g,) + (0,) * i + tuple(t // g for t in high)
+            images.append(_raw(num, scale // g))
             p_pow, q_pow = p_pow * p, q_pow * q
         return TruncOp(tuple(images))
 
@@ -131,7 +137,11 @@ def _scaled_residuals(op: TruncOp, weight: Fraction, pairs):
     """
     images = op.images
     den = math.lcm(*(p.den for p in images))
-    rows = [[(i, c * (den // p.den)) for i, c in enumerate(p.num) if c] for p in images]
+    rows = []
+    for p in images:
+        scale = den // p.den
+        rows.append([(i, c * scale) for i, c in enumerate(p.num) if c])
+    wq, wp = weight.denominator, weight.numerator * den
     top, width = op.n_max, max(len(p.num) for p in images)
     for n, m in pairs:
         if n > top or m > top or n + m > top:
@@ -148,10 +158,10 @@ def _scaled_residuals(op: TruncOp, weight: Fraction, pairs):
             for i, a in row:
                 for j, b in rows[i + shift]:
                     out[j] -= a * b
-        if weight:
-            out = [weight.denominator * c for c in out]
+        if wp:
+            out = [wq * c for c in out]
             for j, b in rows[n + m]:
-                out[j] -= weight.numerator * den * b
+                out[j] -= wp * b
         yield out
 
 
@@ -190,15 +200,26 @@ def odd_halving_example(n: int) -> TruncOp:
 def derived_multiplier(op: TruncOp) -> Poly:
     """The fixed polynomial r with d/dx of R(x^n) equal to r*x^n for all rows.
 
+    r is the derivative of R(1).  Row n, numerators c_j over den, passes when
+    c_1 .. c_n vanish, j*c_j*den(r) == r_(j-n-1)*den for j > n, and the row
+    stops at x^(n + 1 + deg r) (is a constant when r = 0): one integer
+    cross-multiplication per coefficient, with no Poly built per row.
+
     Raises :class:`NotMultiplierType` when some row fails the check and
     :class:`ZeroMultiplier` when all rows agree on r = 0.
     """
     if op.n_max < 1:
         raise TruncationTooSmall("multiplier extraction needs at least the images of 1 and x")
     r = op.images[0].derive()
+    rs, r_den = r.num, r.den
     for n, image in enumerate(op.images):
-        row = image.derive()  # must be r's numerators shifted by n, over r's denominator
-        if row.den != r.den or row.num[n:] != r.num or any(row.num[:n]):
+        num, den = image.num, image.den
+        high = zip(range(n + 1, len(num)), num[n + 1 :], rs)
+        if (
+            (len(num) != n + 1 + len(rs) if rs else len(num) > 1)
+            or any(num[1 : n + 1])
+            or any(j * c * r_den != b * den for j, c, b in high)
+        ):
             raise NotMultiplierType(
                 f"derivative of image {n} is not the row of a fixed multiplier"
             )
@@ -214,8 +235,13 @@ def operator_to_point(op: TruncOp) -> AnalyticOp:
     multiplier degree), so their gcd is a power of x - a.  No second point,
     rational or complex, kills all k + 1 images: between two such points
     the integrals of r*x^j for j <= k would all vanish, and pairing r with
-    its own conjugate along that segment then forces r = 0.  The recovered
-    operator is re-truncated and compared exactly.
+    its own conjugate along that segment then forces r = 0.
+
+    The result is verified without a second truncation.  Once
+    ``derived_multiplier`` has checked that every image R(x^n) has the
+    derivative r*x^n, R(x^n) is the image of x^n under (a, r) plus the
+    constant R(x^n)(a).  So (a, r) truncates back to the input exactly when
+    every image vanishes at a, and that is what is checked.
     """
     r = derived_multiplier(op)
     k = r.degree
@@ -226,7 +252,6 @@ def operator_to_point(op: TruncOp) -> AnalyticOp:
     a = common_root(*op.images[: k + 1])
     if a is None:
         raise NoRationalBasePoint("no rational point kills every low-degree image")
-    candidate = AnalyticOp(a, r)
-    if candidate.truncate(op.n_max) != op:
+    if any(image._at(a)[0] for image in op.images):
         raise Inconsistent("recovered moduli point does not reproduce the truncation")
-    return candidate
+    return AnalyticOp(a, r)

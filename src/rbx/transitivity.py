@@ -115,8 +115,9 @@ def _shared_base(ops: Sequence[AnalyticOp]) -> Fraction:
 
 
 def _rank(rs: Sequence[Poly]) -> int:
+    """Rank of the coefficient rows, read off the numerators: scaling a row keeps the rank."""
     width = max(len(r.num) for r in rs)
-    return linalg.rank([[r.coeff(j) for j in range(width)] for r in rs])
+    return len(linalg._eliminate([list(r.num) + [0] * (width - len(r.num)) for r in rs])[0])
 
 
 def _scan(n: int) -> list[Fraction]:
@@ -311,10 +312,15 @@ def _squared_shear(rs: Sequence[Poly], rank: int) -> "ShearSquared | None":
     D - 1 is the top degree, so the shear adds the column (r_i(b)^2)_i at x^D: the
     rank rises, by one, iff q_l(b) = sum_i l_i r_i(b)^2 != 0 for a left-kernel vector
     l.  As deg q_l <= 2D - 2, 2D - 1 points decide unless all q_l = 0; then None.
+    Row i is taken times den(r_i)^2, which keeps the rank and makes it integer.
     """
     d = max(len(r.num) for r in rs)
     for b in _scan(2 * d - 1):
-        if linalg.rank([[r.coeff(j) for j in range(d)] + [r(b) ** 2] for r in rs]) > rank:
+        rows = []
+        for r in rs:
+            value = r._at(b)[0]  # over den(r), as b is an integer
+            rows.append([c * r.den for c in r.num] + [0] * (d - len(r.num)) + [value**2])
+        if len(linalg._eliminate(rows)[0]) > rank:
             return ShearSquared(b, Poly.monomial(d) - Poly.constant(b**d))
     return None
 

@@ -324,11 +324,11 @@ class TestReducedEquation:
     def test_extension_commutes_with_evaluation(self, r, data, n, m):
         # _extend and _equation over heads in Q[a] agree, point by point,
         # with the reduced MPoly equation evaluated at the head's values
-        rs, k = r.coeffs, r.degree
+        k = r.degree
         poly_heads = st.lists(small_rats, max_size=3).map(lambda cs: Poly(tuple(cs)))
         head = data.draw(st.lists(poly_heads, min_size=k + 1, max_size=k + 1))
         points = data.draw(st.lists(small_rats, min_size=4, max_size=4))
-        value = _equation(rs, _extend(rs, head, n + m + k + 1).__getitem__, n, m)
+        value = _equation(r, _extend(r, head, n + m + k + 1).__getitem__, n, m)
         reduced = reduced_equation(r, n, m)
         for a in points:
             assert value(a) == reduced.eval_at({i: h(a) for i, h in enumerate(head)})
@@ -353,7 +353,7 @@ class TestReducedEquation:
         # passes the tests above; with every solved coordinate doubled the
         # extended curve head misses the equation
         step = functionals._step
-        monkeypatch.setattr(functionals, "_step", lambda rs, c, t: step(rs, c, t) * 2)
+        monkeypatch.setattr(functionals, "_step", lambda r, c, t: step(r, c, t) * 2)
         assert not vanishes_on_curve(ONE_PLUS_X, 1, 1)
         assert not vanishes_on_curve(Poly.monomial(2), 2, 3)
 

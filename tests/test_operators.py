@@ -1,12 +1,17 @@
 """Operator representations, the Rota-Baxter residual and canonicalization."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rbx
 from rbx import linalg
 from rbx.operators import (
     AnalyticOp,
@@ -23,7 +28,7 @@ from rbx.operators import (
     odd_halving_example,
     operator_to_point,
 )
-from rbx.poly import Poly
+from rbx.poly import Poly, common_root
 
 
 def random_poly(rng, max_deg, span=4):
@@ -356,6 +361,136 @@ class TestCanonicalization:
         assert AnalyticOp.from_json(op.to_json()) == op
         trunc = op.truncate(4)
         assert TruncOp.from_json(trunc.to_json()) == trunc
+
+
+# -- reference: canonicalisation as before, Poly.derive rows and a second truncation --
+
+def ref_derived_multiplier(op):
+    if op.n_max < 1:
+        raise TruncationTooSmall("multiplier extraction needs at least the images of 1 and x")
+    r = op.images[0].derive()
+    for n, image in enumerate(op.images):
+        row = image.derive()
+        if row.den != r.den or row.num[n:] != r.num or any(row.num[:n]):
+            raise NotMultiplierType(
+                f"derivative of image {n} is not the row of a fixed multiplier"
+            )
+    if r.is_zero():
+        raise ZeroMultiplier("derived multiplier is zero")
+    return r
+
+
+def ref_operator_to_point(op):
+    r = ref_derived_multiplier(op)
+    k = r.degree
+    if op.n_max < k:
+        raise TruncationTooSmall(
+            f"need images up to degree {k} to pin the base point, have {op.n_max}"
+        )
+    a = common_root(*op.images[: k + 1])
+    if a is None:
+        raise NoRationalBasePoint("no rational point kills every low-degree image")
+    if TruncOp(tuple(ref_images(a, r.coeffs, op.n_max))) != op:
+        raise Inconsistent("recovered moduli point does not reproduce the truncation")
+    return AnalyticOp(a, r)
+
+
+PERTURBATIONS = [
+    "none", "low constant", "high constant", "block coefficient", "dropped top",
+    "extra term", "zero image", "short truncation",
+]
+
+
+@st.composite
+def perturbed_truncations(draw):
+    """Analytic truncations at 64-bit heights with one perturbation of the given kinds.
+
+    A constant bumped at t <= k moves the base point; at t > k only the
+    vanishing check sees it.  A block coefficient sits in x^(t+1) .. x^(t+k+1),
+    an extra term in the gap x^1 .. x^t or just above the block.
+    """
+    kind = draw(st.sampled_from(PERTURBATIONS))
+    k = draw(st.integers(1 if kind == "short truncation" else 0, 3))
+    r = Poly(tuple(tall_rat(draw) for _ in range(k)) + (tall_rat(draw) or Fraction(1),))
+    n = draw(st.integers(0, k - 1)) if kind == "short truncation" else draw(st.integers(k + 1, 8))
+    images = list(AnalyticOp(tall_rat(draw), r).truncate(n).images)
+    bump = Poly.monomial(0, tall_rat(draw) or 1)
+    t = draw(st.integers(0, n))
+    if kind == "low constant":
+        t = draw(st.integers(0, min(k, n)))
+        images[t] += bump
+    elif kind == "high constant":
+        images[draw(st.integers(k + 1, n))] += bump
+    elif kind == "block coefficient":
+        images[t] += Poly.monomial(draw(st.integers(t + 1, t + k + 1)), tall_rat(draw) or 1)
+    elif kind == "dropped top":
+        images[t] = Poly(images[t].coeffs[:-1])
+    elif kind == "extra term":
+        exp = draw(st.integers(1, t) | st.integers(t + k + 2, t + k + 3)) if t else t + k + 2
+        images[t] += Poly.monomial(exp, tall_rat(draw) or 1)
+    elif kind == "zero image":
+        images[t] = Poly.zero()
+    return TruncOp(tuple(images))
+
+
+class TestCanonicalisationMatchesReference:
+    """One-pass canonicalisation agrees with derive-and-re-truncate, errors and messages included."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(perturbed_truncations())
+    def test_perturbed_analytic_truncations(self, op):
+        assert outcome(derived_multiplier, op) == outcome(ref_derived_multiplier, op)
+        assert outcome(operator_to_point, op) == outcome(ref_operator_to_point, op)
+
+    @settings(deadline=None, max_examples=200)
+    @given(random_truncations())
+    def test_random_truncations(self, op):
+        assert outcome(derived_multiplier, op) == outcome(ref_derived_multiplier, op)
+        assert outcome(operator_to_point, op) == outcome(ref_operator_to_point, op)
+
+    @pytest.mark.parametrize("t", [3, 4, 5])
+    def test_high_constant_is_inconsistent(self, t):
+        # the rows still differentiate to r*x^n and images 0 .. k still meet at a
+        op = AnalyticOp(Fraction(-3, 2), Poly((1, 0, 2)))
+        images = list(op.truncate(5).images)
+        images[t] += Poly.constant(Fraction(1, 7))
+        trunc = TruncOp(tuple(images))
+        assert derived_multiplier(trunc) == op.r
+        assert outcome(operator_to_point, trunc) == (
+            Inconsistent, "recovered moduli point does not reproduce the truncation"
+        )
+
+    def test_constant_images_have_zero_multiplier(self):
+        op = TruncOp((Poly.constant(3), Poly.zero(), Poly.constant(Fraction(-1, 2))))
+        assert outcome(derived_multiplier, op) == (ZeroMultiplier, "derived multiplier is zero")
+        op = TruncOp((Poly.constant(3), Poly.x(), Poly.constant(1)))
+        assert outcome(derived_multiplier, op) == outcome(ref_derived_multiplier, op) == (
+            NotMultiplierType, "derivative of image 1 is not the row of a fixed multiplier"
+        )
+
+
+def test_inconsistent_under_optimize():
+    # the vanishing check is not an assert: python -O must still reject the bumped image
+    script = "\n".join([
+        "import sys",
+        "from fractions import Fraction",
+        "from rbx import AnalyticOp, Inconsistent, Poly, TruncOp, operator_to_point",
+        "images = list(AnalyticOp(Fraction(-3, 2), Poly((1, 0, 2))).truncate(5).images)",
+        "images[4] = images[4] + Poly.constant(1)",
+        "try:",
+        "    operator_to_point(TruncOp(tuple(images)))",
+        "except Inconsistent as exc:",
+        "    print('optimize', sys.flags.optimize, 'Inconsistent', exc)",
+    ])
+    src = str(Path(rbx.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "optimize 1 Inconsistent recovered moduli point does not reproduce the truncation\n"
+    )
 
 
 class TestEvaluationBasis:
