@@ -7,16 +7,20 @@ means a behaviour change that must be justified.  Regenerate with
 ``PYTHONPATH=src python tests/test_golden.py`` only for such a change.
 """
 
+import hashlib
 import io
 import json
+import random
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from rbx.actions import word_to_json
 from rbx.cli import main
-from rbx.selftest import DEFAULT_SEED, run_all
+from rbx.selftest import DEFAULT_SEED, _distinct_tuple, _independent_tuple, _rational, run_all
+from rbx.transitivity import solve_distinct_tuple, solve_single, solve_tuple_independent
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -58,6 +62,31 @@ def selftest_details() -> dict:
     return {str(res.number): [res.passed, res.detail] for res in run_all(DEFAULT_SEED)}
 
 
+def synthesis_words(pairs: int = 5) -> str:
+    """sha256 of the JSON words of the three solvers on fixed-seed pairs, m = 1..6.
+
+    Per m and pair: one independent-tuple word and two distinct-tuple words,
+    the second with a dependent member; at m = 1 also a single word between
+    operators with different base points.
+    """
+    rng = random.Random(DEFAULT_SEED)
+    digest = hashlib.sha256()
+
+    def add(word) -> None:
+        digest.update(json.dumps(word_to_json(word)).encode() + b"\n")
+
+    for m in range(1, 7):
+        for _ in range(pairs):
+            a, b = _rational(rng), _rational(rng)
+            if m == 1:
+                add(solve_single(_independent_tuple(rng, 1, a)[0], _independent_tuple(rng, 1, b)[0]))
+            add(solve_tuple_independent(_independent_tuple(rng, m, a), _independent_tuple(rng, m, a)))
+            for dependent in (False, True):
+                src, dst = (_distinct_tuple(rng, m, a, dependent) for _ in range(2))
+                add(solve_distinct_tuple(src, dst))
+    return digest.hexdigest()
+
+
 def cli_text(args: list) -> list:
     """Exit code and stdout of ``rbx`` on ``args``."""
     out = io.StringIO()
@@ -89,6 +118,10 @@ def test_selftest_details(golden):
     assert selftest_details() == golden["selftest"]
 
 
+def test_synthesis_words(golden):
+    assert synthesis_words() == golden["synthesis-words"]
+
+
 @pytest.mark.parametrize("name,argv", CLI_CASES, ids=[name for name, _ in CLI_CASES])
 def test_cli_output(name, argv, golden, tmp_path):
     assert cli_output(argv, tmp_path) == golden["cli"][name]
@@ -103,7 +136,10 @@ def _regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cli = {name: cli_output(argv, Path(tmp)) for name, argv in CLI_CASES}
     text = {name: cli_text(argv) for name, argv in TEXT_CASES}
-    data = {"seed": DEFAULT_SEED, "selftest": selftest_details(), "cli": cli, "cli_text": text}
+    data = {
+        "seed": DEFAULT_SEED, "selftest": selftest_details(), "cli": cli, "cli_text": text,
+        "synthesis-words": synthesis_words(),
+    }
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
