@@ -55,7 +55,6 @@ from .poly import (
     Poly,
     PolyParseError,
     as_rat,
-    lagrange,
 )
 from .transitivity import (
     BasePointMismatch,
@@ -82,7 +81,7 @@ __all__ = [
     "AnalyticOp", "Inconsistent", "NoRationalBasePoint", "NotMultiplierType", "TruncOp",
     "TruncationTooSmall", "ZeroMultiplier", "derived_multiplier", "first_rb_failure",
     "is_rb_upto", "odd_halving_example", "operator_to_point",
-    "DuplicateAbscissa", "Poly", "PolyParseError", "as_rat", "lagrange",
+    "DuplicateAbscissa", "Poly", "PolyParseError", "as_rat",
     "BasePointMismatch", "DuplicateOperators", "LinearlyDependent", "VerificationFailed",
     "make_independent", "solve_distinct_tuple", "solve_single", "solve_tuple_independent",
 ]

@@ -253,18 +253,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     # -- calculus and evaluation ------------------------------------------
 
     def derive(self) -> "Poly":
@@ -404,7 +392,7 @@ def common_root(*polys: Poly) -> "Fraction | None":
     if e < 1:
         return None
     a = -g.coeff(e - 1) / e
-    return a if g == Poly((-a, 1)) ** e else None
+    return a if g.compose_affine(1, a) == Poly.monomial(e) else None
 
 
 def _primitive(num) -> list[int]:
@@ -426,16 +414,6 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
         while r and not r[-1]:
             r.pop()
     return r
-
-
-def lagrange(points: Iterable[tuple[RatLike, RatLike]]) -> Poly:
-    """Unique polynomial of degree < len(points) through the given points.
-
-    The :func:`_nodes` map of the x-values applied to the y-values; raises
-    :class:`DuplicateAbscissa` when two nodes share an x-value.
-    """
-    pts = [(as_rat(x), as_rat(y)) for x, y in points]
-    return _nodes([x for x, _ in pts])([(y.numerator, y.denominator) for _, y in pts])
 
 
 def _nodes(xs: Sequence[RatLike]) -> Callable[[Sequence[tuple[int, int]]], Poly]:

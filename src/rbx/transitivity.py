@@ -9,12 +9,12 @@ as well.  Its device is ``_DiagonalTuple``: an operator tuple whose
 multipliers hit prescribed nonzero values on a diagonal evaluation pattern
 (r_i(b_j) = c_i when i = j, else 0), which makes per-member fiber moves
 independent of each other.
-A tuple word diagonalises both tuples with one shear per pivot row, the
-destination at points that avoid the source's, bridges the source's diagonal
-tuple onto the destination's pattern, finishes with one fiber move per member
-there and undoes the destination's diagonalisation.  A move that changes
-nothing is left out, so a word between independent m-tuples has at most 4m
-generators.  A single operator is the one-member tuple: after a translation
+A tuple word diagonalises both tuples with one shear per pivot row, each by
+one elimination that also picks its points, the destination's avoiding the
+source's.  It bridges the source's diagonal tuple onto the destination's
+pattern, finishes with one fiber move per member there and undoes the
+destination's diagonalisation.  A move that changes nothing is left out, so
+a word between independent m-tuples has at most 4m generators.  A single operator is the one-member tuple: after a translation
 of the base point its word is one bridge move and one fiber move.  A distinct
 tuple is first made independent by one squared shear per missing rank, so a
 word between distinct m-tuples has at most 8m - 4.
@@ -117,7 +117,7 @@ def _shared_base(ops: Sequence[AnalyticOp]) -> Fraction:
 def _rank(rs: Sequence[Poly]) -> int:
     """Rank of the coefficient rows, read off the numerators: scaling a row keeps the rank."""
     width = max(len(r.num) for r in rs)
-    return len(linalg._eliminate([list(r.num) + [0] * (width - len(r.num)) for r in rs])[0])
+    return linalg.rank([r.num + (0,) * (width - len(r.num)) for r in rs])
 
 
 def _scan(n: int) -> list[Fraction]:
@@ -150,36 +150,27 @@ def solve_single(op1: AnalyticOp, op2: AnalyticOp) -> Word:
     return word
 
 
-def _select_basepoints(rs: Sequence[Poly], avoid: Sequence[Fraction] = ()) -> list[Fraction]:
-    """Scan points outside ``avoid`` greedily kept while they raise the evaluation rank.
-
-    Returns len(rs) points at which the evaluation matrix (r_i(b_j)) is
-    invertible; raises :class:`LinearlyDependent` when no points can work.
-    Evaluation at any D + 1 distinct points, D the largest degree, is the
-    coefficient matrix times an invertible Vandermonde matrix, so it has the
-    same rank and the greedy points are its pivot columns; these are the
-    first D + 1 points of :func:`_scan` outside ``avoid``.
-    """
-    width = max((len(r.num) for r in rs), default=0)
-    points = [b for b in _scan(width + len(avoid)) if b not in avoid][:width]
-    pivots, _ = linalg._eliminate([linalg._scaled([r._at(b) for b in points])[0] for r in rs])
-    if len(pivots) < len(rs):
-        raise LinearlyDependent("multipliers must be linearly independent")
-    return [points[j] for j in pivots]
-
-
 def _diagonalize_tuple(
-    ops: Sequence[AnalyticOp], points: Sequence[Fraction]
+    ops: Sequence[AnalyticOp], avoid: Sequence[Fraction] = ()
 ) -> tuple[Word, _DiagonalTuple]:
-    """Column-operation elimination of the evaluation matrix by shears.
+    """Column-operation elimination of the evaluation matrix by shears, at points it picks.
 
-    Each row adds multiples of its pivot column of (r_i(b_j)) to the other
-    columns by one shear at its pivot point (shears at one point keep r
-    there, so they add); afterwards each row holds exactly one nonzero
-    entry.  Returns the word, at most m shears, and the resulting diagonal
-    tuple, base points permuted to match the rows.  A row with no nonzero
-    entry left in an unused column lies in the span of the rows above it, so
-    the matrix is singular and :class:`LinearlyDependent` is raised there.
+    The matrix (r_i(b_j)) is taken at the first D + 1 points of :func:`_scan`
+    outside ``avoid``, D the largest degree: it is the coefficient matrix
+    times an invertible Vandermonde matrix, so it has rank m exactly when the
+    multipliers are independent.  Each row in turn takes the first unused
+    column with a nonzero entry as its pivot and adds multiples of that
+    column to the others.  These pivots are the greedy ones, the columns
+    independent of the columns before them: a column never taken ends zero
+    and only ever gained pivot columns to its left, so it lies in their span.
+    A row with no nonzero entry left in an unused column lies in the span of
+    the rows above it, and :class:`LinearlyDependent` is raised there.
+
+    Only the pivot points carry shears: each row's multiples, kept, are
+    interpolated at the pivot points in scan order, one shear at its pivot
+    point (shears at one point keep r there, so they add), none if all are
+    zero.  Returns the word, at most m shears, and the resulting diagonal
+    tuple, base points in row order.
 
     The matrix stays on the integers: fraction-free Gauss-Jordan elimination
     of its columns (Bareiss, Math. Comp. 22, 1968) keeps entry (k, j) at
@@ -188,27 +179,21 @@ def _diagonalize_tuple(
     matrix, so the division by prev is exact.  A row's diagonal value is its
     pivot entry when it is reached, which later shears leave alone.
     """
-    m = len(ops)
-    if len(points) != m or len(set(points)) != m:
-        raise ValueError("need as many distinct evaluation points as operators")
     _shared_base(ops)
+    width = max(len(op.r.num) for op in ops)
+    points = [b for b in _scan(width + len(avoid)) if b not in avoid][:width]
     rows, dens = zip(*(linalg._scaled([op.r._at(b) for b in points]) for op in ops))
-    interpolate = None  # the node set at points, built by the first shear
-    word: list[Generator] = []
     used: list[int] = []
+    lams: list[list[tuple[int, int]]] = []
     values: list[Fraction] = []
-    g = [(1, 1)] * m
+    g = [(1, 1)] * width
     prev = 1
     for i, top in enumerate(rows):
-        pivot = next((j for j in range(m) if j not in used and top[j]), None)
+        pivot = next((j for j in range(width) if top[j] and j not in used), None)
         if pivot is None:
-            raise LinearlyDependent("evaluation matrix must be invertible")
+            raise LinearlyDependent("multipliers must be linearly independent")
         lead = top[pivot]
-        lams = [(-w * gn, gd * lead) for w, (gn, gd) in zip(top, g)]
-        lams[pivot] = (0, 1)
-        if any(n for n, _ in lams):
-            interpolate = interpolate or _nodes(points)
-            word.append(Shear(points[pivot], interpolate(lams)))
+        lams.append([(-w * gn, gd * lead) for w, (gn, gd) in zip(top, g)])
         for row in rows[i + 1 :]:
             c = row[pivot]
             row[:] = [(lead * v - w * c) // prev for v, w in zip(row, top)]
@@ -217,6 +202,14 @@ def _diagonalize_tuple(
         g[pivot] = (lead, prev)
         used.append(pivot)
         prev = lead
+    chosen = sorted(used)
+    interpolate = None  # the node set at the pivot points, built by the first shear
+    word: list[Generator] = []
+    for pivot, lam in zip(used, lams):
+        ys = [(0, 1) if j == pivot else lam[j] for j in chosen]
+        if any(n for n, _ in ys):
+            interpolate = interpolate or _nodes([points[j] for j in chosen])
+            word.append(Shear(points[pivot], interpolate(ys)))
     moved = tuple(apply_word_tuple(word, ops))
     return tuple(word), _DiagonalTuple(tuple(points[p] for p in used), tuple(values), moved)
 
@@ -273,15 +266,15 @@ def _fiber_moves(
 def _between(src: Sequence[AnalyticOp], dst: Sequence[AnalyticOp]) -> Word:
     """Unverified :func:`solve_tuple_independent`: the word, not replayed.
 
-    ``_select_basepoints`` decides each side's independence, once.
+    One elimination per side, in ``_diagonalize_tuple``, picks its points and
+    decides its independence; the destination's points avoid the source's.
     """
     m = len(src)
     if len(dst) != m:
         raise ValueError("tuples must have equal length")
     _shared_base(list(src) + list(dst))
-    word_src, diag = _diagonalize_tuple(src, _select_basepoints([op.r for op in src]))
-    dst_points = _select_basepoints([op.r for op in dst], diag.base_points)
-    word_dst, diag_dst = _diagonalize_tuple(dst, dst_points)
+    word_src, diag = _diagonalize_tuple(src)
+    word_dst, diag_dst = _diagonalize_tuple(dst, diag.base_points)
     word_onto, diag = _bridge_tuple(diag, diag_dst.base_points, diag_dst.values)
     within = _fiber_moves(diag.ops, diag_dst.ops, diag.base_points)
     word = word_src + word_onto + within + inverse_word(word_dst)
@@ -320,7 +313,7 @@ def _squared_shear(rs: Sequence[Poly], rank: int) -> "ShearSquared | None":
         for r in rs:
             value = r._at(b)[0]  # over den(r), as b is an integer
             rows.append([c * r.den for c in r.num] + [0] * (d - len(r.num)) + [value**2])
-        if len(linalg._eliminate(rows)[0]) > rank:
+        if linalg.rank(rows) > rank:
             return ShearSquared(b, Poly.monomial(d) - Poly.constant(b**d))
     return None
 

@@ -17,7 +17,6 @@ from rbx.poly import (
     as_rat,
     common_root,
     gcd,
-    lagrange,
     rat_text,
 )
 
@@ -254,10 +253,18 @@ distinct_nodes = st.lists(
 )
 
 
+def through(points) -> Poly:
+    """The ``_nodes`` map of the x-values applied to the y-values."""
+    xs, ys = zip(*points) if points else ((), ())
+    return _nodes(xs)([(Fraction(y).numerator, Fraction(y).denominator) for y in ys])
+
+
 class TestLagrange:
+    """Lagrange interpolation through ``_nodes``, one value vector per node set."""
+
     @given(distinct_nodes)
     def test_matches_reference(self, points):
-        assert list(lagrange(points).coeffs) == ref_lagrange(points)
+        assert list(through(points).coeffs) == ref_lagrange(points)
 
     @given(st.lists(st.integers(1, 12), min_size=1, max_size=6, unique=True), st.data())
     def test_nodes_over_different_denominators(self, dens, data):
@@ -265,46 +272,46 @@ class TestLagrange:
         points = [(Fraction(p, q), data.draw(rationals)) for p, q in zip(nums, dens)]
         if len({x for x, _ in points}) != len(points):
             return
-        assert list(lagrange(points).coeffs) == ref_lagrange(points)
+        assert list(through(points).coeffs) == ref_lagrange(points)
 
     @given(st.lists(tall_rationals, max_size=8, unique=True))
     def test_all_zero_values(self, xs):
-        assert lagrange([(x, 0) for x in xs]).is_zero()
+        assert through([(x, 0) for x in xs]).is_zero()
 
     @given(tall_rationals, tall_rationals)
     def test_one_node_is_constant(self, x, y):
-        assert lagrange([(x, y)]) == Poly.constant(y)
+        assert through([(x, y)]) == Poly.constant(y)
 
     @given(distinct_nodes.filter(bool), st.data())
     def test_any_repeated_node_raises(self, points, data):
         x, _ = data.draw(st.sampled_from(points))
         with pytest.raises(DuplicateAbscissa):
-            lagrange(points + [(x, data.draw(tall_rationals))])
+            through(points + [(x, data.draw(tall_rationals))])
 
     def test_square_through_three_points(self):
-        assert lagrange([(0, 0), (1, 1), (2, 4)]) == Poly.monomial(2)
+        assert through([(0, 0), (1, 1), (2, 4)]) == Poly.monomial(2)
 
     def test_single_point(self):
-        assert lagrange([(5, 1)]) == Poly.one()
+        assert through([(5, 1)]) == Poly.one()
 
     def test_selector_polynomial(self):
         # (x-2)(x-3)/2 expanded
-        assert lagrange([(1, 1), (2, 0), (3, 0)]) == Poly(
+        assert through([(1, 1), (2, 0), (3, 0)]) == Poly(
             (3, Fraction(-5, 2), Fraction(1, 2))
         )
 
     def test_duplicate_abscissa(self):
         with pytest.raises(DuplicateAbscissa):
-            lagrange([(1, 1), (1, 2)])
+            through([(1, 1), (1, 2)])
 
     @given(st.lists(st.tuples(rationals, rationals), max_size=6))
     def test_reevaluates_to_inputs(self, points):
         xs = [x for x, _ in points]
         if len(set(xs)) != len(xs):
             with pytest.raises(DuplicateAbscissa):
-                lagrange(points)
+                through(points)
             return
-        p = lagrange(points)
+        p = through(points)
         assert p.degree < max(len(points), 1)
         for x, y in points:
             assert p(x) == y
@@ -334,7 +341,7 @@ class TestNodeSet:
         for ys in vectors:
             got = interpolate([(y.numerator, y.denominator) for y in ys])
             assert list(got.coeffs) == ref_lagrange(list(zip(xs, ys)))
-            assert got == lagrange(zip(xs, ys))
+            assert got == through(list(zip(xs, ys)))
 
     @given(mixed_nodes.filter(lambda xs: len(xs) >= 2), st.data())
     def test_negative_weights_and_unreduced_values(self, xs, data):
@@ -373,9 +380,10 @@ class TestGcd:
         assert gcd(f, g) == linear(Fraction(2, 3))
 
     def test_repeated_root(self):
-        f = linear(-3) ** 3 * Poly((1, 1))
-        g = linear(-3) ** 2 * Poly((1, 0, 1))
-        assert gcd(f, g) == linear(-3) ** 2
+        square = linear(-3) * linear(-3)
+        f = square * linear(-3) * Poly((1, 1))
+        g = square * Poly((1, 0, 1))
+        assert gcd(f, g) == square
 
     def test_zero_input(self):
         p = Poly((-2, 0, Fraction(1, 2)))
@@ -386,7 +394,7 @@ class TestGcd:
 
     def test_many_arguments(self):
         base = linear(Fraction(-1, 7))
-        assert gcd(base * Poly.x(), base * linear(1), base ** 2) == base
+        assert gcd(base * Poly.x(), base * linear(1), base * base) == base
 
     @given(polys, polys, polys)
     def test_divides_and_is_greatest(self, f, g, h):
@@ -443,8 +451,20 @@ class TestRationalRoots:
         a = Fraction(3**bits // 2**(bits // 2) + 1, 2**bits + 1)
         lead = 2**bits - 1
         cofactor = Poly((lead, 1, 0, lead))
-        assert common_root(linear(a) ** 2 * cofactor, linear(a) * cofactor.derive()) == a
-        assert common_root(linear(a) ** 3 * Poly.constant(lead)) == a
+        square = linear(a) * linear(a)
+        assert common_root(square * cofactor, linear(a) * cofactor.derive()) == a
+        assert common_root(square * linear(a) * Poly.constant(lead)) == a
+
+
+    @given(nonzero_rationals | st.integers(-(2**70), 2**70).map(Fraction), st.integers(1, 4), st.data())
+    def test_power_form_only(self, a, e, data):
+        power = Poly.one()
+        for _ in range(e):
+            power = power * linear(a)
+        assert common_root(power * data.draw(nonzero_rationals)) == a
+        # roots with the same mean a, not all at a
+        d = data.draw(nonzero_rationals)
+        assert common_root(power * linear(a + d) * linear(a - d)) is None
 
 
 class TestRatText:

@@ -11,10 +11,10 @@ import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from rbx import linalg, selftest, transitivity
+from rbx import selftest, transitivity
 from rbx.actions import Dilate, Shear, ShearSquared, Translate, apply_word, apply_word_tuple
 from rbx.operators import AnalyticOp
-from rbx.poly import Poly, lagrange
+from rbx.poly import Poly
 from rbx.transitivity import (
     BasePointCollision,
     BasePointMismatch,
@@ -28,12 +28,13 @@ from rbx.transitivity import (
     _DiagonalTuple,
     _diagonalize_tuple,
     _fiber_move,
-    _select_basepoints,
     make_independent,
     solve_distinct_tuple,
     solve_single,
     solve_tuple_independent,
 )
+from test_linalg import ref_gauss
+from test_poly import ref_lagrange
 
 
 def random_poly(rng, max_deg, span=4):
@@ -49,13 +50,16 @@ def random_rat(rng, span=4):
     return Fraction(rng.randint(-span, span), rng.randint(1, 3))
 
 
-def random_independent(rng, m, a):
-    from rbx import linalg
+def coefficient_rank(rs):
+    """Rank of the multipliers' coefficient rows, by the Fraction reference."""
+    width = max(len(r.num) for r in rs)
+    return ref_gauss([[r.coeff(j) for j in range(width)] for r in rs])
 
+
+def random_independent(rng, m, a):
     while True:
         ops = [AnalyticOp(a, random_poly(rng, m + 1)) for _ in range(m)]
-        rows = [[op.r.coeff(j) for j in range(m + 2)] for op in ops]
-        if linalg.rank(rows) == m:
+        if coefficient_rank([op.r for op in ops]) == m:
             return ops
 
 
@@ -209,74 +213,109 @@ def ref_select_basepoints(rs, avoid=()):
     points, t = [], 0
     while len(points) < len(rs):
         trial = [[r(b) for b in points + [t]] for r in rs]
-        if t not in avoid and linalg.rank(trial) > len(points):
+        if t not in avoid and ref_gauss(trial) > len(points):
             points.append(t)
         t = -t if t > 0 else 1 - t
     return points
 
 
-class TestSelectBasepoints:
-    @given(st.lists(small_polys, min_size=1, max_size=4))
-    def test_matches_greedy_reference(self, rs):
-        if linalg.rank([list(r.coeffs) + [0] * (5 - len(r.coeffs)) for r in rs]) < len(rs):
-            with pytest.raises(LinearlyDependent):
-                _select_basepoints(rs)
-        else:
-            assert _select_basepoints(rs) == ref_select_basepoints(rs)
+def scan_order(b):
+    return abs(b), b < 0
 
-    @given(st.lists(small_polys, min_size=1, max_size=4), st.lists(st.integers(0, 8), max_size=6))
+
+def picked_points(rs, avoid=()):
+    """The points ``_diagonalize_tuple`` diagonalises at, in scan order."""
+    _, diag = _diagonalize_tuple([AnalyticOp(0, r) for r in rs], avoid)
+    return sorted(diag.base_points, key=scan_order)
+
+
+class TestSelectBasepoints:
+    """``_diagonalize_tuple`` picks the greedy scan points outside ``avoid``."""
+
+    @given(st.lists(nonzero_polys, min_size=1, max_size=4))
+    def test_matches_greedy_reference(self, rs):
+        if coefficient_rank(rs) < len(rs):
+            with pytest.raises(LinearlyDependent):
+                picked_points(rs)
+        else:
+            assert picked_points(rs) == ref_select_basepoints(rs)
+
+    @given(st.lists(nonzero_polys, min_size=1, max_size=4), st.lists(st.integers(0, 8), max_size=6))
     def test_avoided_points_are_skipped(self, rs, avoid):
         avoid = tuple(Fraction(t) for t in avoid)
-        if linalg.rank([list(r.coeffs) + [0] * (5 - len(r.coeffs)) for r in rs]) < len(rs):
+        if coefficient_rank(rs) < len(rs):
             with pytest.raises(LinearlyDependent):
-                _select_basepoints(rs, avoid)
+                picked_points(rs, avoid)
             return
-        points = _select_basepoints(rs, avoid)
+        points = picked_points(rs, avoid)
         assert len(set(points)) == len(rs)
         assert not set(points) & set(avoid)
-        assert linalg.det([[r(b) for b in points] for r in rs]) != 0
+        assert ref_gauss([[r(b) for b in points] for r in rs]) == len(rs)
         assert points == ref_select_basepoints(rs, avoid)
 
     def test_unit_and_x(self):
-        assert _select_basepoints([Poly.one(), Poly.x()]) == [0, 1]
-        assert _select_basepoints([Poly.one(), Poly.x()], (Fraction(0), Fraction(1))) == [-1, 2]
+        assert picked_points([Poly.one(), Poly.x()]) == [0, 1]
+        assert picked_points([Poly.one(), Poly.x()], (Fraction(0), Fraction(1))) == [-1, 2]
 
     def test_single_with_root_at_origin(self):
-        assert _select_basepoints([Poly.one()]) == [0]
-        assert _select_basepoints([Poly.x()]) == [1]
-        assert _select_basepoints([Poly((0, -2, 1))]) == [1]  # x(x-2): 0 and 2 are roots
+        assert picked_points([Poly.one()]) == [0]
+        assert picked_points([Poly.x()]) == [1]
+        assert picked_points([Poly((0, -2, 1))]) == [1]  # x(x-2): 0 and 2 are roots
 
     def test_dependent_rejected(self):
         with pytest.raises(LinearlyDependent):
-            _select_basepoints([Poly.x(), Poly((0, 2))])
+            picked_points([Poly.x(), Poly((0, 2))])
 
     def test_matrix_invertible(self):
         rng = random.Random(67)
         for m in (1, 2, 3):
             rs = [op.r for op in random_independent(rng, m, Fraction(0))]
-            points = _select_basepoints(rs)
+            points = picked_points(rs)
             matrix = [[r(b) for b in points] for r in rs]
-            assert linalg.det(matrix) != 0
+            assert ref_gauss(matrix) == m
+
+
+@given(st.integers(1, 5), st.integers(0, 3), st.data())
+def test_row_order_pivots_are_the_greedy_pivots(m, extra, data):
+    """Each row pivoting on its first unused nonzero column, after the column steps of
+    the rows above, picks the columns independent of the columns before them."""
+    width = m + extra
+    entry = st.sampled_from([0, 0, 0, 1, -1]) | st.integers(-9, 9)
+    rows = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=m, max_size=m))
+    cols = [[Fraction(row[j]) for row in rows] for j in range(width)]
+    greedy = [j for j in range(width) if ref_gauss(cols[: j + 1]) > ref_gauss(cols[:j])]
+    mat = [[Fraction(v) for v in row] for row in rows]
+    used = []
+    for i in range(m):
+        pivot = next((j for j in range(width) if j not in used and mat[i][j]), None)
+        if pivot is None:
+            assert len(greedy) < m
+            return
+        lams = [-v / mat[i][pivot] for v in mat[i]]
+        mat = [[v + lam * row[pivot] if j != pivot else v for j, (v, lam) in enumerate(zip(row, lams))]
+               for row in mat]
+        used.append(pivot)
+    assert sorted(used) == greedy
 
 
 class TestDiagonalize:
     def test_triangular_matrix_needs_one_operation(self):
         ops = [AnalyticOp(0, Poly((2, 1))), AnalyticOp(0, Poly((0, 1)))]
         # evaluation matrix at (0,1) is [[2,3],[0,1]]: one column op clears it
-        word, diag = _diagonalize_tuple(ops, [Fraction(0), Fraction(1)])
+        word, diag = _diagonalize_tuple(ops)
         assert len(word) == 1
         assert apply_word_tuple(word, ops) == list(diag.ops)
 
     def test_empty_word_for_diagonal_matrix(self):
         ops = [AnalyticOp(0, Poly((1, -1))), AnalyticOp(0, Poly((0, 1)))]
         # values at (0,1): r1 -> (1, 0), r2 -> (0, 1)
-        word, diag = _diagonalize_tuple(ops, [Fraction(0), Fraction(1)])
+        word, diag = _diagonalize_tuple(ops)
         assert word == ()
         assert diag.base_points == (0, 1)
 
     def test_unit_and_x_multipliers(self):
         ops = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.x())]
-        word, diag = _diagonalize_tuple(ops, [Fraction(0), Fraction(1)])
+        word, diag = _diagonalize_tuple(ops)
         moved = apply_word_tuple(word, ops)
         assert list(diag.ops) == moved
         for i, op in enumerate(moved):
@@ -287,16 +326,14 @@ class TestDiagonalize:
         rng = random.Random(71)
         for m in (2, 3):
             ops = random_independent(rng, m, Fraction(1, 2))
-            points = _select_basepoints([op.r for op in ops])
-            word, diag = _diagonalize_tuple(ops, points)
+            word, diag = _diagonalize_tuple(ops)
             assert all(op.a == Fraction(1, 2) for op in diag.ops)
 
     def test_random_instances(self):
         rng = random.Random(73)
         for _ in range(5):
             ops = random_independent(rng, 3, random_rat(rng))
-            points = _select_basepoints([op.r for op in ops])
-            word, diag = _diagonalize_tuple(ops, points)
+            word, diag = _diagonalize_tuple(ops)
             assert apply_word_tuple(word, ops) == list(diag.ops)
 
 
@@ -311,12 +348,12 @@ class TestNodeSetPerDiagonalisation:
         return count
 
     def test_one_member_builds_none(self, builds):
-        word, _ = _diagonalize_tuple([AnalyticOp(0, Poly((1, 2, 3)))], [Fraction(0)])
+        word, _ = _diagonalize_tuple([AnalyticOp(0, Poly((1, 2, 3)))])
         assert word == () and builds == []
 
     def test_shears_share_one(self, builds):
         ops = [AnalyticOp(0, Poly(cs)) for cs in ((-2, -1), (-1, -3), (-1, 0, -1))]
-        word, _ = _diagonalize_tuple(ops, [Fraction(0), Fraction(1), Fraction(2)])
+        word, _ = _diagonalize_tuple(ops, (Fraction(-1),))  # at 0, 1 and 2
         assert len(word) == 3 and len(builds) == 1
 
 
@@ -324,10 +361,10 @@ class TestSingularPattern:
     @pytest.mark.parametrize(
         "rs,points",
         [
-            # a zero row: x^2 - x vanishes at 0 and 1
-            ((Poly.x(), Poly((0, -1, 1))), (0, 1)),
-            # a row that the elimination empties: 1 and x^2 agree at -1 and 1
-            ((Poly.one(), Poly.monomial(2)), (-1, 1)),
+            # a multiple of a member, whichever points are avoided
+            ((Poly.x(), Poly((0, 2))), (0, 1)),
+            # a row that the elimination empties: x^2 - 1 is x^2 minus 1
+            ((Poly.one(), Poly.monomial(2), Poly((-1, 0, 1))), (-1, 1)),
         ],
     )
     def test_raises_linearly_dependent(self, rs, points):
@@ -340,14 +377,15 @@ class TestSingularPattern:
     def test_raises_exactly_when_singular(self, data):
         m = data.draw(st.integers(1, 4))
         rs = data.draw(st.lists(small_int_polys.filter(bool), min_size=m, max_size=m))
-        points = data.draw(st.lists(st.integers(-3, 3).map(Fraction), min_size=m, max_size=m, unique=True))
+        avoid = data.draw(st.lists(st.integers(-3, 3).map(Fraction), max_size=m, unique=True))
         ops = [AnalyticOp(0, r) for r in rs]
-        if linalg.det([[r(b) for b in points] for r in rs]) == 0:
+        if coefficient_rank(rs) < m:
             with pytest.raises(LinearlyDependent):
-                _diagonalize_tuple(ops, points)
+                _diagonalize_tuple(ops, avoid)
         else:
-            word, diag = _diagonalize_tuple(ops, points)
+            word, diag = _diagonalize_tuple(ops, avoid)
             assert apply_word_tuple(word, ops) == list(diag.ops)
+            assert not set(diag.base_points) & set(avoid)
 
 
 def ref_diagonalize(ops, points):
@@ -359,7 +397,7 @@ def ref_diagonalize(ops, points):
         pivot = next(j for j in range(m) if j not in used and matrix[i][j] != 0)
         lams = [0 if j == pivot else -v / matrix[i][pivot] for j, v in enumerate(matrix[i])]
         if any(lams):
-            word.append(Shear(points[pivot], lagrange(zip(points, lams))))
+            word.append(Shear(points[pivot], Poly(tuple(ref_lagrange(list(zip(points, lams)))))))
             matrix = [[v + lam * row[pivot] for v, lam in zip(row, lams)] for row in matrix]
         used.append(pivot)
     return (
@@ -389,26 +427,23 @@ class TestDiagonalizeMatchesReference:
             )
         )
         assume(all(rs))
-        assume(linalg.rank([list(r.coeffs) + [0] * (m + 1 - len(r.coeffs)) for r in rs]) == m)
+        assume(coefficient_rank(rs) == m)
         a = data.draw(mixed_rats)
         ops = [AnalyticOp(a, r) for r in rs]
-        points = _select_basepoints(rs)
-        if data.draw(st.booleans()):
-            # arbitrary distinct rational points, negative ones included
-            points = data.draw(st.lists(mixed_rats, min_size=m, max_size=m, unique=True))
-            assume(linalg.det([[r(b) for b in points] for r in rs]) != 0)
-        self.check(ops, points)
+        avoid = data.draw(st.lists(st.integers(-3, 3).map(Fraction), max_size=m, unique=True))
+        self.check(ops, avoid)
 
     def test_negative_pivots(self):
         # every pivot is negative, and each row needs its shear
         ops = [AnalyticOp(0, Poly(cs)) for cs in ((-2, -1), (-1, -3), (-1, 0, -1))]
-        for points in ([0, 1, 2], [Fraction(-1, 3), Fraction(5, 2), -7]):
-            word, diag = self.check(ops, [Fraction(b) for b in points])
+        for avoid in ([-1], [0, 1]):
+            word, diag = self.check(ops, [Fraction(b) for b in avoid])
             assert len(word) == 3 and all(c < 0 for c in diag.values)
 
     @staticmethod
-    def check(ops, points):
-        word, diag = _diagonalize_tuple(ops, points)
+    def check(ops, avoid):
+        word, diag = _diagonalize_tuple(ops, avoid)
+        points = [Fraction(b) for b in ref_select_basepoints([op.r for op in ops], avoid)]
         assert (word, diag.base_points, diag.values) == ref_diagonalize(ops, points)
         return word, diag
 
@@ -471,8 +506,7 @@ class TestBridge:
         rng = random.Random(79)
         for _ in range(5):
             ops = random_independent(rng, 2, Fraction(0))
-            points = _select_basepoints([op.r for op in ops])
-            _, diag = _diagonalize_tuple(ops, points)
+            _, diag = _diagonalize_tuple(ops)
             fresh = [b for b in (Fraction(5), Fraction(6), Fraction(7)) if b not in diag.base_points][:2]
             word, out = _bridge_tuple(diag, fresh, [Fraction(2), Fraction(3)])
             assert apply_word_tuple(word, list(diag.ops)) == list(out.ops)
@@ -489,10 +523,10 @@ class TestBridgeCorrection:
         # one member of degree above 2m, past the bound on the bridge directions
         rs[0] = rs[0] + Poly.monomial(2 * m + data.draw(st.integers(1, 3)))
         width = max(len(r.num) for r in rs)
-        assume(linalg.rank([[r.coeff(j) for j in range(width)] for r in rs]) == m)
+        assume(coefficient_rank(rs) == m)
         a = data.draw(st.integers(-2, 2))
         ops = [AnalyticOp(a, r) for r in rs]
-        _, src = _diagonalize_tuple(ops, _select_basepoints(rs))
+        _, src = _diagonalize_tuple(ops)
         free = [b for b in SCAN[:12] + [Fraction(1, 2), Fraction(-7, 3)] if b not in src.base_points]
         dst_points = data.draw(st.lists(st.sampled_from(free), min_size=m, max_size=m, unique=True))
         dst_values = data.draw(
@@ -562,9 +596,10 @@ class TestSolveTupleIndependent:
         seen = []
         diagonalize = transitivity._diagonalize_tuple
 
-        def recording(ops, points):
-            seen.append(list(points))
-            return diagonalize(ops, points)
+        def recording(ops, avoid=()):
+            word, diag = diagonalize(ops, avoid)
+            seen.append(sorted(diag.base_points, key=scan_order))
+            return word, diag
 
         monkeypatch.setattr(transitivity, "_diagonalize_tuple", recording)
         # both sides would pick 0 and 1 on their own
@@ -719,7 +754,7 @@ class TestWordLength:
         for m in (2, 3, 4, 5):
             for _ in range(4):
                 ops = random_independent(rng, m, random_rat(rng))
-                word, diag = _diagonalize_tuple(ops, _select_basepoints([op.r for op in ops]))
+                word, diag = _diagonalize_tuple(ops)
                 assert apply_word_tuple(word, ops) == list(diag.ops)
                 points = [gen.b for gen in word]
                 assert len(points) == len(set(points)) <= m
@@ -878,10 +913,7 @@ def ref_independence_word(ops):
 
 
 def _rank(ops):
-    from rbx import linalg
-
-    width = max(len(op.r.coeffs) for op in ops)
-    return linalg.rank([[op.r.coeff(j) for j in range(width)] for op in ops])
+    return coefficient_rank([op.r for op in ops])
 
 
 def _random_distinct(rng, m, a):
