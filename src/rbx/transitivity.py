@@ -156,28 +156,27 @@ def _diagonalize_tuple(
     """Column-operation elimination of the evaluation matrix by shears, at points it picks.
 
     The matrix (r_i(b_j)) is taken at the first D + 1 points of :func:`_scan`
-    outside ``avoid``, D the largest degree: it is the coefficient matrix
-    times an invertible Vandermonde matrix, so it has rank m exactly when the
-    multipliers are independent.  Each row in turn takes the first unused
-    column with a nonzero entry as its pivot and adds multiples of that
-    column to the others.  These pivots are the greedy ones, the columns
-    independent of the columns before them: a column never taken ends zero
-    and only ever gained pivot columns to its left, so it lies in their span.
-    A row with no nonzero entry left in an unused column lies in the span of
-    the rows above it, and :class:`LinearlyDependent` is raised there.
-
-    Only the pivot points carry shears: each row's multiples, kept, are
-    interpolated at the pivot points in scan order, one shear at its pivot
-    point (shears at one point keep r there, so they add), none if all are
-    zero.  Returns the word, at most m shears, and the resulting diagonal
-    tuple, base points in row order.
+    outside ``avoid``, D the largest degree: the coefficient matrix times an
+    invertible Vandermonde matrix, so of rank m exactly when the multipliers
+    are independent.  Each row in turn pivots on its first unused column with
+    a nonzero entry and adds multiples of that column to the others; a row
+    with none lies in the span of the rows above it and raises
+    :class:`LinearlyDependent`.  The pivots are the greedy columns, each
+    independent of those before it: a column never taken ends zero and only
+    gained pivot columns to its left.  Each row's multiples at the pivot
+    points, in scan order, interpolate one shear at its pivot point (shears
+    at one point keep r there, so they add), left out if all are zero.
+    Returns the word, at most m shears, and the diagonal tuple, base points
+    in row order.
 
     The matrix stays on the integers: fraction-free Gauss-Jordan elimination
     of its columns (Bareiss, Math. Comp. 22, 1968) keeps entry (k, j) at
-    dens[k] * prev * r_k(b_j) / g[j], g[j] = 1 until column j is a pivot and
-    lead / prev of that step after.  Every entry is a minor of the row-scaled
-    matrix, so the division by prev is exact.  A row's diagonal value is its
-    pivot entry when it is reached, which later shears leave alone.
+    dens[k] * prev / g[j] times the column-reduced entry, g[j] = 1 until
+    column j is a pivot and lead / prev of that step after; on the pivot
+    columns the reduced entries are the sheared multipliers' values.  Every
+    entry is a minor of the row-scaled matrix, so the division by prev is
+    exact.  A row's diagonal value is its pivot entry when it is reached,
+    which later shears leave alone.
     """
     _shared_base(ops)
     width = max(len(op.r.num) for op in ops)

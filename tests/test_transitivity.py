@@ -358,12 +358,13 @@ class TestNodeSetPerDiagonalisation:
 
 
 class TestSingularPattern:
+    # points: the scan points the diagonalisation must avoid
     @pytest.mark.parametrize(
         "rs,points",
         [
-            # a multiple of a member, whichever points are avoided
+            # a multiple of a member
             ((Poly.x(), Poly((0, 2))), (0, 1)),
-            # a row that the elimination empties: x^2 - 1 is x^2 minus 1
+            # a row that the elimination empties: the third is the second minus the first
             ((Poly.one(), Poly.monomial(2), Poly((-1, 0, 1))), (-1, 1)),
         ],
     )
@@ -522,7 +523,6 @@ class TestBridgeCorrection:
         rs = data.draw(st.lists(small_int_polys.filter(bool), min_size=m, max_size=m))
         # one member of degree above 2m, past the bound on the bridge directions
         rs[0] = rs[0] + Poly.monomial(2 * m + data.draw(st.integers(1, 3)))
-        width = max(len(r.num) for r in rs)
         assume(coefficient_rank(rs) == m)
         a = data.draw(st.integers(-2, 2))
         ops = [AnalyticOp(a, r) for r in rs]
