@@ -177,9 +177,17 @@ class TestFunctional:
 
     def test_degree_cap_is_an_input_error(self, capsys):
         code, out, err = run(capsys, ["functional", "reduce", "r=1", "n=40", "m=40"])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "cap 64" in err
+        assert (code, out, err) == (2, "", "error: product term degree 65 exceeds cap 64\n")
+
+    def test_degree_cap_in_a_fresh_process(self):
+        # the whole rbx process: one error line on stderr and exit 2, no traceback
+        src = str(Path(rbx.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "rbx.cli", "functional", "reduce", "r=1", "n=40", "m=40"],
+            capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: product term degree 65 exceeds cap 64\n"
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -512,6 +520,13 @@ class TestSelftestCommand:
         lines = out.strip().splitlines()
         assert len([l for l in lines if l.startswith("criterion")]) == 11
         assert lines[-1].startswith("selftest: 11/11")
+
+    def test_default_seed_is_the_selftest_default(self, capsys):
+        from rbx.selftest import DEFAULT_SEED
+
+        code, out, _ = run(capsys, ["selftest"])
+        assert code == 0 and DEFAULT_SEED == 271828
+        assert out.strip().splitlines()[-1] == "selftest: 11/11 criteria passed (seed 271828)"
 
     def test_closed_stdout_is_not_a_traceback(self):
         # as in ``rbx selftest | head -1``: the reader is gone before the first
