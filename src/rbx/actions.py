@@ -14,32 +14,30 @@ realise conjugation by the affine substitutions x -> x + nu and x -> mu*x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
 from .operators import AnalyticOp
-from .poly import Poly, _normal, as_rat, rat_text
+from .poly import Poly, RatLike, _normal, _Value, as_rat, rat_text
 
 
 class InvalidGenerator(ValueError):
     """Generator invariant violated at construction (s(b) != 0, or mu = 0)."""
 
 
-@dataclass(frozen=True)
-class Shear:
+class Shear(_Value):
     """Add r(b)**power times a polynomial vanishing at b to the multiplier."""
 
-    b: Fraction
-    s: Poly
+    __slots__ = ("b", "s")
     tag = "HB"
     power = 1
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "b", as_rat(self.b))
-        if self.s._at(self.b)[0]:
+    def __init__(self, b: RatLike, s: Poly) -> None:
+        object.__setattr__(self, "b", as_rat(b))
+        if s._at(self.b)[0]:
             raise InvalidGenerator(f"shear direction must vanish at {self.b}")
+        object.__setattr__(self, "s", s)
 
     def apply(self, op: AnalyticOp) -> AnalyticOp:
         r, s = op.r, self.s
@@ -57,23 +55,22 @@ class Shear:
         return type(self)(self.b, -self.s)
 
 
-@dataclass(frozen=True)
 class ShearSquared(Shear):
     """Add r(b)^2 times a polynomial vanishing at b to the multiplier."""
 
+    __slots__ = ()
     tag = "HB2"
     power = 2
 
 
-@dataclass(frozen=True)
-class Translate:
+class Translate(_Value):
     """Conjugation by x -> x + nu."""
 
-    nu: Fraction
+    __slots__ = ("nu",)
     tag = "GA"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nu", as_rat(self.nu))
+    def __init__(self, nu: RatLike) -> None:
+        object.__setattr__(self, "nu", as_rat(nu))
 
     def apply(self, op: AnalyticOp) -> AnalyticOp:
         return AnalyticOp(op.a - self.nu, op.r.compose_affine(1, self.nu))
@@ -82,15 +79,14 @@ class Translate:
         return Translate(-self.nu)
 
 
-@dataclass(frozen=True)
-class Dilate:
+class Dilate(_Value):
     """Conjugation by x -> mu*x, mu nonzero."""
 
-    mu: Fraction
+    __slots__ = ("mu",)
     tag = "GM"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", as_rat(self.mu))
+    def __init__(self, mu: RatLike) -> None:
+        object.__setattr__(self, "mu", as_rat(mu))
         if self.mu == 0:
             raise InvalidGenerator("dilation factor must be nonzero")
 

@@ -28,13 +28,12 @@ budget can still accept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .mpoly import MPoly
 from .operators import AnalyticOp, TruncOp, TruncationTooSmall, derived_multiplier
-from .poly import Poly, RatLike, as_rat, common_root
+from .poly import Poly, RatLike, _Value, as_rat, common_root
 
 
 class IndexTooSmall(ValueError):
@@ -50,16 +49,15 @@ def _context(r: Poly, n: int = 0, m: int = 0) -> int:
     return r.degree
 
 
-@dataclass(frozen=True)
-class FunctionalCoords:
+class FunctionalCoords(_Value):
     """Coordinates c_i = c(x^i) of a linear functional, with its context multiplier."""
 
-    r: Poly
-    c: tuple[Fraction, ...]
+    __slots__ = ("r", "c")
 
-    def __post_init__(self) -> None:
-        _context(self.r)
-        object.__setattr__(self, "c", tuple(as_rat(v) for v in self.c))
+    def __init__(self, r: Poly, c: Sequence[RatLike]) -> None:
+        _context(r)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "c", tuple(as_rat(v) for v in c))
         if not self.c:
             raise ValueError("at least one coordinate is required")
 

@@ -23,10 +23,9 @@ the image of (a, r), that check is exactly the round trip
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, RatLike, _raw, as_rat, common_root, rat_text
+from .poly import Poly, RatLike, _raw, _Value, as_rat, common_root, rat_text
 
 
 class TruncationTooSmall(ValueError):
@@ -49,17 +48,16 @@ class Inconsistent(ValueError):
     """Round-trip verification of the recovered operator failed."""
 
 
-@dataclass(frozen=True)
-class AnalyticOp:
+class AnalyticOp(_Value):
     """Moduli point (a, r): multiply by nonzero r, then integrate, vanishing at a."""
 
-    a: Fraction
-    r: Poly
+    __slots__ = ("a", "r")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", as_rat(self.a))
-        if self.r.is_zero():
+    def __init__(self, a: RatLike, r: Poly) -> None:
+        object.__setattr__(self, "a", as_rat(a))
+        if r.is_zero():
             raise ZeroMultiplier("analytic operators need a nonzero multiplier")
+        object.__setattr__(self, "r", r)
 
     def apply(self, f: Poly) -> Poly:
         """Image of f; always vanishes at the base point."""
@@ -98,16 +96,15 @@ class AnalyticOp:
         return cls(as_rat(data["a"]), Poly.from_text(data["r"]))
 
 
-@dataclass(frozen=True)
-class TruncOp:
+class TruncOp(_Value):
     """Linear operator known only through its images of x^0 .. x^N."""
 
-    images: tuple[Poly, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self) -> None:
-        if not self.images:
+    def __init__(self, images: tuple[Poly, ...]) -> None:
+        if not images:
             raise ValueError("a truncated operator needs at least the image of 1")
-        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "images", tuple(images))
 
     @property
     def n_max(self) -> int:

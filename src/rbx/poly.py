@@ -20,6 +20,7 @@ string, signed, in the same literal grammar.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -124,7 +125,40 @@ def _join_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
     return "".join(parts) or "0"
 
 
-class Poly:
+class _Value:
+    """The package's one immutable value: its fields are the ``__slots__`` of its classes.
+
+    ``==`` needs the same class and equal fields, ``hash`` is the field tuple's,
+    and pickling and copying call the constructor on the fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = getattr(cls, "_fields", ()) + tuple(cls.__dict__.get("__slots__", ()))
+        get = operator.attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+
+    def __setattr__(self, *_) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return self._values(self) == other._values(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), self._values(self))
+
+
+class Poly(_Value):
     """Dense univariate polynomial with exact rational coefficients.
 
     Stored as integer numerators ``num`` over one positive denominator
@@ -142,21 +176,8 @@ class Poly:
         den = math.lcm(*(c.denominator for c in cs))
         return _normal([c.numerator * (den // c.denominator) for c in cs], den)
 
-    def __setattr__(self, *_) -> None:
-        raise AttributeError("Poly is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
+    def __reduce__(self):  # the constructor takes coefficients, not the fields
         return (_raw, (self.num, self.den))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

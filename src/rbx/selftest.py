@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -43,7 +42,7 @@ from .operators import (
     is_rb_upto,
     odd_halving_example,
 )
-from .poly import Poly
+from .poly import Poly, _Value
 from .transitivity import (
     solve_distinct_tuple,
     solve_single,
@@ -53,13 +52,12 @@ from .transitivity import (
 DEFAULT_SEED = 271828
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CriterionResult(_Value):
+    __slots__ = ("number", "name", "passed", "detail", "seconds")
+
+    def __init__(self, number: int, name: str, passed: bool, detail: str, seconds: float) -> None:
+        for field, value in zip(self.__slots__, (number, name, passed, detail, seconds)):
+            object.__setattr__(self, field, value)
 
 
 # -- random sampling helpers -------------------------------------------------

@@ -26,7 +26,6 @@ Every evaluation and shear point is the first that works in one scan,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -42,7 +41,7 @@ from .actions import (
     inverse_word,
 )
 from .operators import AnalyticOp
-from .poly import Poly, _nodes
+from .poly import Poly, _nodes, _Value
 
 
 class BasePointMismatch(ValueError):
@@ -78,15 +77,15 @@ def _verify(ok: bool, what: str) -> None:
         raise VerificationFailed(what)
 
 
-@dataclass(frozen=True)
-class _DiagonalTuple:
+class _DiagonalTuple(_Value):
     """Operator tuple with diagonal evaluation pattern r_i(b_j) = c_i * delta_ij."""
 
-    base_points: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-    ops: tuple[AnalyticOp, ...]
+    __slots__ = ("base_points", "values", "ops")
 
-    def __post_init__(self) -> None:
+    def __init__(self, base_points: tuple, values: tuple, ops: tuple[AnalyticOp, ...]) -> None:
+        object.__setattr__(self, "base_points", base_points)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "ops", ops)
         m = len(self.ops)
         if len(self.base_points) != m or len(self.values) != m:
             raise ValueError("base points, values and operators must have equal length")
