@@ -102,9 +102,9 @@ class TruncOp(_Value):
     __slots__ = ("images",)
 
     def __init__(self, images: tuple[Poly, ...]) -> None:
-        if not images:
-            raise ValueError("a truncated operator needs at least the image of 1")
         object.__setattr__(self, "images", tuple(images))
+        if not self.images:
+            raise ValueError("a truncated operator needs at least the image of 1")
 
     @property
     def n_max(self) -> int:

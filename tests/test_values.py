@@ -138,8 +138,9 @@ def test_invalid_input_raises():
         Dilate(0)
     with pytest.raises(ZeroMultiplier):
         AnalyticOp(0, Poly.zero())
-    with pytest.raises(ValueError, match="at least the image of 1"):
-        TruncOp(())
+    for empty in ((), [], (image for image in ())):
+        with pytest.raises(ValueError, match="at least the image of 1"):
+            TruncOp(empty)
     with pytest.raises(ValueError, match="nonzero"):
         FunctionalCoords(Poly.zero(), (1,))
     with pytest.raises(ValueError, match="at least one coordinate"):
