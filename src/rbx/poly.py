@@ -137,7 +137,7 @@ class _Value:
     def __init_subclass__(cls) -> None:
         cls._fields = getattr(cls, "_fields", ()) + tuple(cls.__dict__.get("__slots__", ()))
         get = operator.attrgetter(*cls._fields)
-        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+        cls._values = property(get if len(cls._fields) > 1 else lambda value: (get(value),))
 
     def __setattr__(self, *_) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -145,17 +145,17 @@ class _Value:
     __delattr__ = __setattr__
 
     def __eq__(self, other) -> bool:
-        return self._values(self) == other._values(other) if type(other) is type(self) else NotImplemented
+        return self._values == other._values if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values(self))
+        return hash(self._values)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values))
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        return (type(self), self._values(self))
+        return (type(self), self._values)
 
 
 class Poly(_Value):
