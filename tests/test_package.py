@@ -45,8 +45,12 @@ def fresh_python(code):
 
 def test_cli_start_skips_dataclasses_inspect_and_selftest():
     # every rbx process pays for what importing rbx.cli loads; the acceptance
-    # suite is loaded by the selftest command alone
-    code = "import rbx.cli, sys; print([m for m in ('dataclasses', 'inspect', 'rbx.selftest') if m in sys.modules])"
+    # suite is loaded by the selftest command alone.  Only what the import adds
+    # counts: site hooks of the interpreter may have loaded inspect already
+    code = (
+        "import sys; before = set(sys.modules); import rbx.cli; "
+        "print([m for m in ('dataclasses', 'inspect', 'rbx.selftest') if m in set(sys.modules) - before])"
+    )
     assert fresh_python(code) == "[]"
 
 
