@@ -51,7 +51,6 @@ from .operators import (
     operator_to_point,
 )
 from .poly import (
-    DuplicateAbscissa,
     Poly,
     PolyParseError,
     as_rat,
@@ -81,7 +80,7 @@ __all__ = [
     "AnalyticOp", "Inconsistent", "NoRationalBasePoint", "NotMultiplierType", "TruncOp",
     "TruncationTooSmall", "ZeroMultiplier", "derived_multiplier", "first_rb_failure",
     "is_rb_upto", "odd_halving_example", "operator_to_point",
-    "DuplicateAbscissa", "Poly", "PolyParseError", "as_rat",
+    "Poly", "PolyParseError", "as_rat",
     "BasePointMismatch", "DuplicateOperators", "LinearlyDependent", "VerificationFailed",
     "make_independent", "solve_distinct_tuple", "solve_single", "solve_tuple_independent",
 ]

@@ -174,27 +174,25 @@ def _rational_kth_roots(q: Fraction, k: int) -> list[Fraction]:
 
 # -- wire format -----------------------------------------------------------
 
+_GENERATORS = {cls.tag: cls for cls in (Shear, ShearSquared, Translate, Dilate)}
+
+
 def generator_to_json(gen: Generator) -> dict:
-    if isinstance(gen, Shear):
-        return {"type": gen.tag, "b": rat_text(gen.b), "s": gen.s.to_text()}
-    if isinstance(gen, Translate):
-        return {"type": gen.tag, "nu": rat_text(gen.nu)}
-    if isinstance(gen, Dilate):
-        return {"type": gen.tag, "mu": rat_text(gen.mu)}
-    raise TypeError(f"not a generator: {gen!r}")
+    if not isinstance(gen, tuple(_GENERATORS.values())):
+        raise TypeError(f"not a generator: {gen!r}")
+    out = {"type": gen.tag}
+    for f, v in zip(gen._fields, gen._values):
+        out[f] = v.to_text() if isinstance(v, Poly) else rat_text(v)
+    return out
 
 
 def generator_from_json(data: dict) -> Generator:
     kind = data["type"]
-    if kind == "HB":
-        return Shear(as_rat(data["b"]), Poly.from_text(data["s"]))
-    if kind == "HB2":
-        return ShearSquared(as_rat(data["b"]), Poly.from_text(data["s"]))
-    if kind == "GA":
-        return Translate(as_rat(data["nu"]))
-    if kind == "GM":
-        return Dilate(as_rat(data["mu"]))
-    raise ValueError(f"unknown generator type {kind!r}")
+    cls = _GENERATORS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown generator type {kind!r}")
+    # a shear's direction s is the one Poly field
+    return cls(*(Poly.from_text(data[f]) if f == "s" else as_rat(data[f]) for f in cls._fields))
 
 
 def word_to_json(word: Sequence[Generator]) -> list[dict]:

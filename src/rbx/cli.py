@@ -51,6 +51,7 @@ _DOMAIN_ERRORS = (
     Inconsistent,
     TruncationTooSmall,
 )
+_VERIFY_DEGREE_CAP = 128  # rbx verify's work grows with the square of --degree
 
 
 class InputError(ValueError):
@@ -119,6 +120,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise InputError(f"bad weight {args.weight!r}") from exc
     degree = args.degree
+    if degree > _VERIFY_DEGREE_CAP:
+        raise InputError(f"--degree {degree} exceeds cap {_VERIFY_DEGREE_CAP}")
     if isinstance(op, AnalyticOp):
         # first_rb_failure refuses a negative degree
         trunc = op.truncate(max(2 * degree + op.r.degree + 1, 0))

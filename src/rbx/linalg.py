@@ -1,4 +1,4 @@
-"""Exact rank of integer rows by one fraction-free elimination."""
+"""One fraction-free elimination of integer rows, and the exact rank built on it."""
 
 from __future__ import annotations
 
@@ -12,27 +12,39 @@ def _scaled(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
-def rank(rows: Sequence[Sequence[int]]) -> int:
-    """Exact rank of integer rows; a rational row scaled to integers keeps it.
+def eliminate(rows: Sequence[list[int]]) -> list["int | None"]:
+    """Fraction-free column elimination of integer rows, in place; each row's pivot column.
 
-    Bareiss elimination (Math. Comp. 22, 1968) on a copy: every entry after
-    the step at pivot ``prev`` is a minor of the matrix, so the division by
-    the previous pivot is exact.
+    Each row in turn pivots on its first nonzero column that no row above has
+    taken and steps the rows below, so it is final once its own step begins; a
+    row with none lies in the span of the rows above, gets None and takes no
+    step.  A row below keeps its entry c in the pivot column, and its entry v
+    becomes (lead * v - w * c) / prev, w the pivot row's entry, lead its pivot
+    and prev the pivot before.  The pivots are the greedy columns.  The division
+    is exact (Bareiss, Math. Comp. 22, 1968): with B the pivot rows and columns
+    so far, det B = prev, and a row below holds in an untaken column the minor
+    of B bordered by its row and that column, in the column of pivot row l the
+    det B with row l replaced by its own entries.
     """
-    ints = [list(row) for row in rows]
-    ncols = len(ints[0]) if ints else 0
-    if any(len(row) != ncols for row in ints):
-        raise ValueError("ragged matrix")
-    r, prev = 0, 1
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(ints)) if ints[i][col]), None)
+    pivots: list["int | None"] = []
+    prev = 1
+    for i, top in enumerate(rows):
+        pivot = next((j for j, w in enumerate(top) if w and j not in pivots), None)
+        pivots.append(pivot)
         if pivot is None:
             continue
-        ints[r], ints[pivot] = ints[pivot], ints[r]
-        top, lead = ints[r], ints[r][col]
-        for row in ints[r + 1 :]:
-            c = row[col]
-            row[:] = [(lead * v - c * w) // prev for v, w in zip(row, top)]
+        lead = top[pivot]
+        for row in rows[i + 1 :]:
+            c = row[pivot]
+            row[:] = [(lead * v - w * c) // prev for v, w in zip(row, top)]
+            row[pivot] = c
         prev = lead
-        r += 1
-    return r
+    return pivots
+
+
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank of integer rows, the pivots of :func:`eliminate` on a copy."""
+    ints = [list(row) for row in rows]
+    if any(len(row) != len(ints[0]) for row in ints):
+        raise ValueError("ragged matrix")
+    return sum(pivot is not None for pivot in eliminate(ints))

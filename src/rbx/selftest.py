@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from typing import Callable
 
-from . import linalg
+from . import linalg, transitivity
 from .actions import (
     Dilate,
     Shear,
@@ -87,7 +87,7 @@ def _operator(rng: random.Random, max_deg: int, a: "Fraction | None" = None) -> 
 def _independent_tuple(rng: random.Random, m: int, a: Fraction) -> list[AnalyticOp]:
     while True:
         ops = [_operator(rng, m + 1, a) for _ in range(m)]
-        if linalg.rank([op.r.num + (0,) * (m + 2 - len(op.r.num)) for op in ops]) == m:
+        if transitivity._rank([op.r for op in ops]) == m:
             return ops
 
 

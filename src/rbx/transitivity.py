@@ -157,57 +157,44 @@ def _diagonalize_tuple(
     The matrix (r_i(b_j)) is taken at the first D + 1 points of :func:`_scan`
     outside ``avoid``, D the largest degree: the coefficient matrix times an
     invertible Vandermonde matrix, so of rank m exactly when the multipliers
-    are independent.  Each row in turn pivots on its first unused column with
-    a nonzero entry and adds multiples of that column to the others; a row
-    with none lies in the span of the rows above it and raises
-    :class:`LinearlyDependent`.  The pivots are the greedy columns, each
-    independent of those before it: a column never taken ends zero and only
-    gained pivot columns to its left.  Each row's multiples at the pivot
-    points, in scan order, interpolate one shear at its pivot point (shears
-    at one point keep r there, so they add), left out if all are zero.
-    Returns the word, at most m shears, and the diagonal tuple, base points
-    in row order.
+    are independent.  :func:`linalg.eliminate` reduces its columns, each row
+    scaled to integers by dens[k]; a row with no pivot lies in the span of the
+    rows above it and raises :class:`LinearlyDependent`.  The pivots are the
+    greedy columns, each independent of those before it.  Each row's multiples
+    at the pivot points, in scan order, interpolate one shear at its pivot
+    point (shears at one point keep r there, so they add), left out if all are
+    zero.  Returns the word, at most m shears, and the diagonal tuple, base
+    points in row order.
 
-    The matrix stays on the integers: fraction-free Gauss-Jordan elimination
-    of its columns (Bareiss, Math. Comp. 22, 1968) keeps entry (k, j) at
-    dens[k] * prev / g[j] times the column-reduced entry, g[j] = 1 until
-    column j is a pivot and lead / prev of that step after; on the pivot
-    columns the reduced entries are the sheared multipliers' values.  Every
-    entry is a minor of the row-scaled matrix, so the division by prev is
-    exact.  A row's diagonal value is its pivot entry when it is reached,
+    Final row k holds dens[k] * prev / g[j] times the column-reduced entry
+    (k, j), prev the pivot before its own, g[j] = 1 until column j is a pivot
+    and lead / prev of that step after; on the pivot columns the reduced
+    entries are the sheared multipliers' values.  So its multiple of column j
+    is -entry * g[j] / lead, and its diagonal value lead / (dens[k] * prev),
     which later shears leave alone.
     """
     _shared_base(ops)
     width = max(len(op.r.num) for op in ops)
     points = [b for b in _scan(width + len(avoid)) if b not in avoid][:width]
     rows, dens = zip(*(linalg._scaled([op.r._at(b) for b in points]) for op in ops))
-    used: list[int] = []
-    lams: list[list[tuple[int, int]]] = []
-    values: list[Fraction] = []
-    g = [(1, 1)] * width
-    prev = 1
-    for i, top in enumerate(rows):
-        pivot = next((j for j in range(width) if top[j] and j not in used), None)
-        if pivot is None:
-            raise LinearlyDependent("multipliers must be linearly independent")
-        lead = top[pivot]
-        lams.append([(-w * gn, gd * lead) for w, (gn, gd) in zip(top, g)])
-        for row in rows[i + 1 :]:
-            c = row[pivot]
-            row[:] = [(lead * v - w * c) // prev for v, w in zip(row, top)]
-            row[pivot] = c
-        values.append(Fraction(lead, dens[i] * prev))
-        g[pivot] = (lead, prev)
-        used.append(pivot)
-        prev = lead
+    used = linalg.eliminate(rows)
+    if None in used:
+        raise LinearlyDependent("multipliers must be linearly independent")
     chosen = sorted(used)
     interpolate = None  # the node set at the pivot points, built by the first shear
     word: list[Generator] = []
-    for pivot, lam in zip(used, lams):
-        ys = [(0, 1) if j == pivot else lam[j] for j in chosen]
+    values: list[Fraction] = []
+    g = [(1, 1)] * width
+    prev = 1
+    for top, pivot, den in zip(rows, used, dens):
+        lead = top[pivot]
+        ys = [(0, 1) if j == pivot else (-top[j] * g[j][0], g[j][1] * lead) for j in chosen]
         if any(n for n, _ in ys):
             interpolate = interpolate or _nodes([points[j] for j in chosen])
             word.append(Shear(points[pivot], interpolate(ys)))
+        values.append(Fraction(lead, den * prev))
+        g[pivot] = (lead, prev)
+        prev = lead
     moved = tuple(apply_word_tuple(word, ops))
     return tuple(word), _DiagonalTuple(tuple(points[p] for p in used), tuple(values), moved)
 

@@ -1,6 +1,8 @@
 """Generator actions, word algebra and the conjugation-orbit decision."""
 
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,8 @@ from rbx.actions import (
     affine_orbit_word,
     apply_word,
     apply_word_tuple,
+    generator_from_json,
+    generator_to_json,
     inverse_word,
     word_from_json,
     word_to_json,
@@ -282,3 +286,26 @@ class TestWordJson:
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             word_from_json([{"type": "XX"}])
+
+    def test_bytes(self):
+        word = (Shear(Fraction(1, 2), Poly((Fraction(-1, 2), 1))), ShearSquared(0, Poly.x()),
+                Translate(-7), Dilate(Fraction(2, 3)))
+        assert json.dumps(word_to_json(word)) == (
+            '[{"type": "HB", "b": "1/2", "s": "x - 1/2"}, {"type": "HB2", "b": "0", "s": "x"}, '
+            '{"type": "GA", "nu": "-7"}, {"type": "GM", "mu": "2/3"}]'
+        )
+
+    @pytest.mark.parametrize("kind", ["XX", "hb", 1, None, ["HB"], {"HB": 1}])
+    def test_unknown_type_message(self, kind):
+        with pytest.raises(ValueError, match=re.escape(f"unknown generator type {kind!r}")):
+            generator_from_json({"type": kind, "b": "0", "s": "x"})
+
+    def test_missing_field(self):
+        with pytest.raises(KeyError, match="'s'"):
+            generator_from_json({"type": "HB2", "b": "0"})
+        with pytest.raises(KeyError, match="'mu'"):
+            generator_from_json({"type": "GM", "nu": "1"})
+
+    def test_not_a_generator(self):
+        with pytest.raises(TypeError, match=re.escape("not a generator: 'HB'")):
+            generator_to_json("HB")

@@ -29,6 +29,15 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_process(argv):
+    """The whole ``rbx`` process on ``argv``, importing rbx from this checkout."""
+    src = str(Path(rbx.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "rbx.cli", *argv],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+
+
 class TestVerify:
     def test_analytic_operator_passes(self, tmp_path, capsys):
         path = write(tmp_path, "op.json", {"a": "1/2", "r": "x^2 + 1"})
@@ -96,6 +105,19 @@ class TestVerify:
             code, out, err = run(capsys, ["verify", path, "--degree", degree])
             assert (code, out) == (2, "")
             assert err == f"error: identity check degree must be non-negative, got {degree}\n"
+
+    @pytest.mark.parametrize("form", ["point", "truncation"])
+    def test_degree_cap_in_a_fresh_process(self, tmp_path, form):
+        # past the cap 128, one error line and exit 2 before any truncation or pair
+        # list, where a huge degree ran out of memory
+        op = AnalyticOp(Fraction(1, 2), Poly.from_text("x^3 - 2*x + 1/3"))
+        path = write(tmp_path, "op.json", op.to_json() if form == "point" else op.truncate(260).to_json())
+        proc = run_process(["verify", path, "--degree", "128"])
+        assert proc.returncode == 0 and json.loads(proc.stdout)["holds"] is True
+        for degree in ("129", "100000"):
+            proc = run_process(["verify", path, "--degree", degree])
+            assert (proc.returncode, proc.stdout) == (2, b"")
+            assert proc.stderr == f"error: --degree {degree} exceeds cap 128\n".encode()
 
 
 class TestCanon:
@@ -181,11 +203,7 @@ class TestFunctional:
 
     def test_degree_cap_in_a_fresh_process(self):
         # the whole rbx process: one error line on stderr and exit 2, no traceback
-        src = str(Path(rbx.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "rbx.cli", "functional", "reduce", "r=1", "n=40", "m=40"],
-            capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
-        )
+        proc = run_process(["functional", "reduce", "r=1", "n=40", "m=40"])
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert proc.stderr == b"error: product term degree 65 exceeds cap 64\n"
 

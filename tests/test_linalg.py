@@ -11,11 +11,12 @@ from rbx import linalg
 
 def test_rank_full():
     assert linalg.rank([[1, 1], [0, 1]]) == 2
-    assert linalg.rank([[0, 1], [1, 0]]) == 2  # needs a row swap
+    assert linalg.rank([[0, 1], [1, 0]]) == 2  # the first row pivots on the last column
 
 
 def test_rank_deficient():
     assert linalg.rank([[1, 2], [2, 4]]) == 1
+    assert linalg.rank([[1, 2, 0], [2, 4, 0], [0, 0, 1]]) == 2  # a dependent row between
 
 
 def test_rank_rectangular():
@@ -78,6 +79,33 @@ def low_rank_matrices(draw):
 @given(matrices | low_rank_matrices())
 def test_rank_matches_reference(rows):
     assert linalg.rank(rows) == ref_gauss(rows)
+
+
+def greedy_columns(rows):
+    """The columns independent of the columns before them, by the Fraction reference."""
+    cols = [list(col) for col in zip(*rows)]
+    return [j for j in range(len(cols)) if ref_gauss(cols[: j + 1]) > ref_gauss(cols[:j])]
+
+
+@given(dims, dims, st.data())
+def test_eliminate_pivots_are_the_greedy_columns(nrows, ncols, data):
+    """A dependent row between independent ones gets None; the other pivots are the greedy columns."""
+    rows = data.draw(grids(nrows, ncols))
+    k = data.draw(st.integers(1, nrows))
+    weights = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    rows.insert(k, [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(ncols)])
+    pivots = linalg.eliminate([list(row) for row in rows])
+    assert pivots[k] is None
+    assert sorted(p for p in pivots if p is not None) == greedy_columns(rows)
+    assert pivots.count(None) == len(rows) - ref_gauss(rows)
+
+
+def test_eliminate_keeps_the_multiple_in_the_pivot_column():
+    rows = [[2, 3], [4, 5], [6, 9]]
+    assert linalg.eliminate(rows) == [0, 1, None]
+    # row 1 keeps 4 and gets 2*5 - 3*4; row 2, three times row 0, ends zero in column 1,
+    # and its column 0 is det [[6, 9], [4, 5]], row 0 of the pivot block replaced by its own
+    assert rows == [[2, 3], [4, -2], [-6, 0]]
 
 
 def test_random_rank_deficient_and_rectangular():

@@ -11,7 +11,7 @@ import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from rbx import selftest, transitivity
+from rbx import linalg, selftest, transitivity
 from rbx.actions import Dilate, Shear, ShearSquared, Translate, apply_word, apply_word_tuple
 from rbx.operators import AnalyticOp
 from rbx.poly import Poly
@@ -33,7 +33,7 @@ from rbx.transitivity import (
     solve_single,
     solve_tuple_independent,
 )
-from test_linalg import ref_gauss
+from test_linalg import greedy_columns, ref_gauss
 from test_poly import ref_lagrange
 
 
@@ -277,25 +277,18 @@ class TestSelectBasepoints:
 
 @given(st.integers(1, 5), st.integers(0, 3), st.data())
 def test_row_order_pivots_are_the_greedy_pivots(m, extra, data):
-    """Each row pivoting on its first unused nonzero column, after the column steps of
-    the rows above, picks the columns independent of the columns before them."""
+    """``linalg.eliminate``, each row pivoting on its first untaken nonzero column after the
+    column steps of the rows above, picks the columns independent of the columns before them:
+    the points of ``_diagonalize_tuple``."""
     width = m + extra
     entry = st.sampled_from([0, 0, 0, 1, -1]) | st.integers(-9, 9)
     rows = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=m, max_size=m))
-    cols = [[Fraction(row[j]) for row in rows] for j in range(width)]
-    greedy = [j for j in range(width) if ref_gauss(cols[: j + 1]) > ref_gauss(cols[:j])]
-    mat = [[Fraction(v) for v in row] for row in rows]
-    used = []
-    for i in range(m):
-        pivot = next((j for j in range(width) if j not in used and mat[i][j]), None)
-        if pivot is None:
-            assert len(greedy) < m
-            return
-        lams = [-v / mat[i][pivot] for v in mat[i]]
-        mat = [[v + lam * row[pivot] if j != pivot else v for j, (v, lam) in enumerate(zip(row, lams))]
-               for row in mat]
-        used.append(pivot)
-    assert sorted(used) == greedy
+    greedy = greedy_columns(rows)
+    pivots = linalg.eliminate([list(row) for row in rows])
+    if None in pivots:
+        assert len(greedy) < m
+    else:
+        assert sorted(pivots) == greedy
 
 
 class TestDiagonalize:
