@@ -20,11 +20,11 @@ def eliminate(rows: Sequence[list[int]]) -> list["int | None"]:
     row with none lies in the span of the rows above, gets None and takes no
     step.  A row below keeps its entry c in the pivot column, and its entry v
     becomes (lead * v - w * c) / prev, w the pivot row's entry, lead its pivot
-    and prev the pivot before.  The pivots are the greedy columns.  The division
-    is exact (Bareiss, Math. Comp. 22, 1968): with B the pivot rows and columns
-    so far, det B = prev, and a row below holds in an untaken column the minor
-    of B bordered by its row and that column, in the column of pivot row l the
-    det B with row l replaced by its own entries.
+    and prev the pivot before.  The pivots are the greedy columns.  Each
+    division is exact (Bareiss, Math. Comp. 22, 1968): with B the input's pivot
+    rows and columns so far, det B = prev, a row below holds in an untaken
+    column the minor of B bordered by its input row and that column, and in the
+    column of pivot row l det B with row l replaced by that input row.
     """
     pivots: list["int | None"] = []
     prev = 1
