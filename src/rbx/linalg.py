@@ -2,14 +2,7 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
-
-
-def _scaled(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
-    """Values ``(num, den)`` as integers over the lcm of their denominators, and that lcm."""
-    den = math.lcm(*(d for _, d in pairs))
-    return [n * (den // d) for n, d in pairs], den
 
 
 def eliminate(rows: Sequence[list[int]]) -> list["int | None"]:

@@ -8,7 +8,8 @@ zero polynomial has no coefficients and its degree is the sentinel
 silently wrong.  ``gcd`` is a primitive remainder sequence over the
 integers and ``common_root`` reads a rational root off it.
 
-Evaluation (``Poly._at``) and interpolation (``_nodes``) run on the integers too.
+Evaluation (``Poly._at``) runs on the integers too, and interpolation
+(``_nodes``) is at integer nodes.
 
 The module also owns the polynomial text grammar used by the CLI and the
 JSON payloads: a sum of terms ``[+-] coef [*] [x [^ exp]]`` with ``coef``
@@ -63,10 +64,7 @@ def as_rat(value: RatLike) -> Fraction:
         num, slash, den = compact.partition("/")
         if _RAT_RE.fullmatch(compact) is None or (slash and not den.strip("0")):
             raise PolyParseError(f"bad rational literal {_clip(value)}")
-        try:
-            return Fraction(compact)
-        except ValueError:  # more digits than int() converts
-            return Fraction(_int_text(num), _int_text(den or "1"))
+        return Fraction(_int_text(num), _int_text(den or "1"))
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
@@ -437,32 +435,28 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _nodes(xs: Sequence[RatLike]) -> Callable[[Sequence[tuple[int, int]]], Poly]:
-    """The interpolation map at nodes ``xs``, from values ``(num, den)``, den != 0, to a Poly.
+def _nodes(xs: Sequence[int]) -> Callable[[Sequence[tuple[int, int]]], Poly]:
+    """The interpolation map at integer nodes ``xs``: values ``(num, den)``, den != 0, to a Poly.
 
-    The node work is done once, on integers: with x_l = p_l / d over one
-    denominator, node l has the basis N_l(X) / w_l in X = d*x, N_l = prod_{j != l}
-    (X - p_j) kept in x with the sign of w_l = N_l(p_l).  The map sums
+    The node work is done once: node l has the basis N_l / w_l, N_l = prod_{j != l}
+    (x - x_j) kept with the sign of w_l = N_l(x_l).  The map sums
     n_l * N_l / (den_l * |w_l|) over one lcm.  Raises :class:`DuplicateAbscissa`
     when two nodes share an x-value.
     """
-    xs = [as_rat(x) for x in xs]
     if len(set(xs)) != len(xs):
         raise DuplicateAbscissa("interpolation nodes must have distinct x-values")
-    d = math.lcm(*(x.denominator for x in xs))
-    ps = [x.numerator * (d // x.denominator) for x in xs]
-    node = [1]  # prod (X - p_j), low degree first
-    for p in ps:
+    node = [1]  # prod (x - x_j), low degree first
+    for p in xs:
         node = [u - p * v for u, v in zip([0] + node, node + [0])]
     basis = []
-    for pl in ps:
-        w = math.prod(pl - pj for pj in ps if pj != pl)
+    for pl in xs:
+        w = math.prod(pl - pj for pj in xs if pj != pl)
         sign = 1 if w > 0 else -1
-        # synthetic division of the node polynomial by X - p_l, top down
-        quo, c = [0] * len(ps), 0
-        for i in range(len(ps), 0, -1):
+        # synthetic division of the node polynomial by x - x_l, top down
+        quo, c = [0] * len(xs), 0
+        for i in range(len(xs), 0, -1):
             c = node[i] + pl * c
-            quo[i - 1] = sign * c * d ** (i - 1)  # substitute X = d*x
+            quo[i - 1] = sign * c
         basis.append((abs(w), quo))
 
     def combine(ys: Sequence[tuple[int, int]]) -> Poly:

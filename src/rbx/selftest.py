@@ -8,6 +8,7 @@ tolerance.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -252,7 +253,8 @@ def criterion_group_laws(rng: random.Random) -> str:
 
 def criterion_evaluation_basis(rng: random.Random) -> str:
     for k in range(11):
-        rows = [linalg._scaled([(1, i + j + 1) for i in range(k + 1)])[0] for j in range(k + 1)]
+        lcms = [math.lcm(*range(j + 1, j + k + 2)) for j in range(k + 1)]
+        rows = [[lcm // (i + j + 1) for i in range(k + 1)] for j, lcm in enumerate(lcms)]
         _require(linalg.rank(rows) == k + 1)
     return "reciprocal-sum evaluation matrices are nonsingular for sizes 1..11"
 

@@ -19,8 +19,9 @@ of the base point its word is one bridge move and one fiber move.  A distinct
 tuple is first made independent by one squared shear per missing rank, so a
 word between distinct m-tuples has at most 8m - 4.
 
-Every evaluation and shear point is the first that works in one scan,
-0, 1, -1, 2, -2, ..., so a fixed input yields a fixed word.
+Every evaluation and shear point is the first that works in one integer
+scan, 0, 1, -1, 2, -2, ..., so a fixed input yields a fixed word; a point
+stays an ``int`` until it becomes a generator field.
 """
 
 from __future__ import annotations
@@ -119,12 +120,12 @@ def _rank(rs: Sequence[Poly]) -> int:
     return linalg.rank([r.num + (0,) * (width - len(r.num)) for r in rs])
 
 
-def _scan(n: int) -> list[Fraction]:
-    """The first n points of 0, 1, -1, 2, -2, ..."""
-    return [Fraction((k + 1) // 2 * (-1) ** (k + 1)) for k in range(n)]
+def _scan(n: int) -> list[int]:
+    """The first n points of the one integer scan 0, 1, -1, 2, -2, ..."""
+    return [(k + 1) // 2 * (-1) ** (k + 1) for k in range(n)]
 
 
-def _fiber_move(src: AnalyticOp, dst: AnalyticOp, b: Fraction) -> Shear:
+def _fiber_move(src: AnalyticOp, dst: AnalyticOp, b: int) -> Shear:
     """The shear at b carrying src to dst within one fiber of the evaluation map."""
     if src.a != dst.a:
         raise BasePointMismatch("fiber moves keep the integration base point fixed")
@@ -150,33 +151,33 @@ def solve_single(op1: AnalyticOp, op2: AnalyticOp) -> Word:
 
 
 def _diagonalize_tuple(
-    ops: Sequence[AnalyticOp], avoid: Sequence[Fraction] = ()
+    ops: Sequence[AnalyticOp], avoid: Sequence[int] = ()
 ) -> tuple[Word, _DiagonalTuple]:
     """Column-operation elimination of the evaluation matrix by shears, at points it picks.
 
     The matrix (r_i(b_j)) is taken at the first D + 1 points of :func:`_scan`
     outside ``avoid``, D the largest degree: the coefficient matrix times an
     invertible Vandermonde matrix, so of rank m exactly when the multipliers
-    are independent.  :func:`linalg.eliminate` reduces its columns, each row
-    scaled to integers by dens[k]; a row with no pivot lies in the span of the
-    rows above it and raises :class:`LinearlyDependent`.  The pivots are the
-    greedy columns, each independent of those before it.  Each row's multiples
-    at the pivot points, in scan order, interpolate one shear at its pivot
-    point (shears at one point keep r there, so they add), left out if all are
-    zero.  Returns the word, at most m shears, and the diagonal tuple, base
-    points in row order.
+    are independent.  :func:`linalg.eliminate` reduces its columns, row k the
+    numerators over den(r_k), as the points are integers; a row with no pivot
+    lies in the span of the rows above it and raises :class:`LinearlyDependent`.
+    The pivots are the greedy columns, each independent of those before it.
+    Each row's multiples at the pivot points, in scan order, interpolate one
+    shear at its pivot point (shears at one point keep r there, so they add),
+    left out if all are zero.  Returns the word, at most m shears, and the
+    diagonal tuple, base points in row order.
 
-    Final row k holds dens[k] * prev / g[j] times the column-reduced entry
+    Final row k holds den(r_k) * prev / g[j] times the column-reduced entry
     (k, j), prev the pivot before its own, g[j] = 1 until column j is a pivot
     and lead / prev of that step after; on the pivot columns the reduced
     entries are the sheared multipliers' values.  So its multiple of column j
-    is -entry * g[j] / lead, and its diagonal value lead / (dens[k] * prev),
+    is -entry * g[j] / lead, and its diagonal value lead / (den(r_k) * prev),
     which later shears leave alone.
     """
     _shared_base(ops)
     width = max(len(op.r.num) for op in ops)
     points = [b for b in _scan(width + len(avoid)) if b not in avoid][:width]
-    rows, dens = zip(*(linalg._scaled([op.r._at(b) for b in points]) for op in ops))
+    rows = [[op.r._at(b)[0] for b in points] for op in ops]  # over den(r), as b is an integer
     used = linalg.eliminate(rows)
     if None in used:
         raise LinearlyDependent("multipliers must be linearly independent")
@@ -186,13 +187,13 @@ def _diagonalize_tuple(
     values: list[Fraction] = []
     g = [(1, 1)] * width
     prev = 1
-    for top, pivot, den in zip(rows, used, dens):
+    for top, pivot, op in zip(rows, used, ops):
         lead = top[pivot]
         ys = [(0, 1) if j == pivot else (-top[j] * g[j][0], g[j][1] * lead) for j in chosen]
         if any(n for n, _ in ys):
             interpolate = interpolate or _nodes([points[j] for j in chosen])
             word.append(Shear(points[pivot], interpolate(ys)))
-        values.append(Fraction(lead, den * prev))
+        values.append(Fraction(lead, op.r.den * prev))
         g[pivot] = (lead, prev)
         prev = lead
     moved = tuple(apply_word_tuple(word, ops))
@@ -200,7 +201,7 @@ def _diagonalize_tuple(
 
 
 def _bridge_tuple(
-    src: _DiagonalTuple, dst_points: Sequence[Fraction], dst_values: Sequence[Fraction]
+    src: _DiagonalTuple, dst_points: Sequence[int], dst_values: Sequence[Fraction]
 ) -> tuple[Word, _DiagonalTuple]:
     """Move a diagonal tuple onto a disjoint evaluation pattern.
 
@@ -216,10 +217,6 @@ def _bridge_tuple(
         raise ValueError("destination pattern must match the tuple length")
     if set(dst_points) & set(src.base_points):
         raise BasePointCollision("destination points must avoid the source points")
-    if len(set(dst_points)) != m:
-        raise ValueError("destination points must be pairwise distinct")
-    if any(c == 0 for c in dst_values):
-        raise ZeroFiberValue("destination values must be nonzero")
     node = math.prod((Poly((-p, 1)) for p in src.base_points), start=Poly.one())
     nodes = [node._at(q) for q in dst_points]
     interpolate = _nodes(dst_points)
@@ -236,7 +233,7 @@ def _bridge_tuple(
 
 
 def _fiber_moves(
-    ops: Sequence[AnalyticOp], targets: Sequence[AnalyticOp], points: Sequence[Fraction]
+    ops: Sequence[AnalyticOp], targets: Sequence[AnalyticOp], points: Sequence[int]
 ) -> Word:
     """Fiber moves carrying ops[k] to targets[k] at points[k] in turn, no-op moves left out.
 

@@ -26,19 +26,7 @@ from rbx.actions import (
 )
 from rbx.operators import AnalyticOp
 from rbx.poly import Poly
-
-
-def random_poly(rng, max_deg, span=4):
-    deg = rng.randint(0, max_deg)
-    coeffs = [Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(deg)]
-    lead = 0
-    while lead == 0:
-        lead = Fraction(rng.randint(-span, span), rng.randint(1, 3))
-    return Poly(tuple(coeffs) + (lead,))
-
-
-def random_rat(rng, span=4):
-    return Fraction(rng.randint(-span, span), rng.randint(1, 3))
+from random_values import random_poly, random_rat
 
 
 def random_vanishing(rng, b, max_deg=3):

@@ -27,23 +27,11 @@ from rbx.functionals import (
 from rbx.mpoly import DegreeCapExceeded, MPoly
 from rbx.operators import AnalyticOp, TruncationTooSmall, is_rb_upto
 from rbx.poly import Poly
+from random_values import random_poly, random_rat
 
 ONE = Poly.one()
 X = Poly.x()
 ONE_PLUS_X = Poly((1, 1))
-
-
-def random_poly(rng, max_deg, span=4):
-    deg = rng.randint(0, max_deg)
-    coeffs = [Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(deg)]
-    lead = 0
-    while lead == 0:
-        lead = Fraction(rng.randint(-span, span), rng.randint(1, 3))
-    return Poly(tuple(coeffs) + (lead,))
-
-
-def random_rat(rng, span=4):
-    return Fraction(rng.randint(-span, span), rng.randint(1, 3))
 
 
 small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=3)

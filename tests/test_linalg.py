@@ -1,5 +1,6 @@
 """Exact rank of integer rows."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -50,8 +51,11 @@ def ref_gauss(rows):
 
 def scaled(rows):
     """Each rational row as integers over the lcm of its denominators."""
-    return [linalg._scaled([(Fraction(c).numerator, Fraction(c).denominator) for c in row])[0]
-            for row in rows]
+    out = []
+    for row in rows:
+        den = math.lcm(*(Fraction(c).denominator for c in row))
+        out.append([int(c * den) for c in row])
+    return out
 
 
 # zero-heavy, so that pivots are missing and rows need swapping

@@ -29,15 +29,7 @@ from rbx.operators import (
 )
 from rbx.poly import Poly, common_root
 from test_linalg import ref_gauss
-
-
-def random_poly(rng, max_deg, span=4):
-    deg = rng.randint(0, max_deg)
-    coeffs = [Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(deg)]
-    lead = 0
-    while lead == 0:
-        lead = Fraction(rng.randint(-span, span), rng.randint(1, 3))
-    return Poly(tuple(coeffs) + (lead,))
+from random_values import random_poly
 
 
 def random_rat(rng, span=5):

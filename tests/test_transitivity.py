@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from rbx import linalg, selftest, transitivity
 from rbx.actions import Dilate, Shear, ShearSquared, Translate, apply_word, apply_word_tuple
 from rbx.operators import AnalyticOp
-from rbx.poly import Poly
+from rbx.poly import DuplicateAbscissa, Poly
 from rbx.transitivity import (
     BasePointCollision,
     BasePointMismatch,
@@ -35,19 +35,7 @@ from rbx.transitivity import (
 )
 from test_linalg import greedy_columns, ref_gauss
 from test_poly import ref_lagrange
-
-
-def random_poly(rng, max_deg, span=4):
-    deg = rng.randint(0, max_deg)
-    coeffs = [Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(deg)]
-    lead = 0
-    while lead == 0:
-        lead = Fraction(rng.randint(-span, span), rng.randint(1, 3))
-    return Poly(tuple(coeffs) + (lead,))
-
-
-def random_rat(rng, span=4):
-    return Fraction(rng.randint(-span, span), rng.randint(1, 3))
+from random_values import random_poly, random_rat
 
 
 def coefficient_rank(rs):
@@ -73,27 +61,27 @@ class TestFiberMove:
     def test_shear_direction_from_difference(self):
         src = AnalyticOp(0, Poly((1, 1)))
         dst = AnalyticOp(0, Poly((1, 0, 1)))
-        gen = _fiber_move(src, dst, Fraction(0))
+        gen = _fiber_move(src, dst, 0)
         assert gen.s == Poly((0, -1, 1))
         assert gen.apply(src) == dst
 
     def test_identity_move(self):
         op = AnalyticOp(1, Poly((2, 1)))
-        gen = _fiber_move(op, op, Fraction(0))
+        gen = _fiber_move(op, op, 0)
         assert gen.s == Poly.zero()
         assert gen.apply(op) == op
 
     def test_value_mismatch(self):
         with pytest.raises(FiberMismatch):
-            _fiber_move(AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.constant(2)), Fraction(0))
+            _fiber_move(AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.constant(2)), 0)
 
     def test_zero_fiber(self):
         with pytest.raises(ZeroFiberValue):
-            _fiber_move(AnalyticOp(0, Poly.x()), AnalyticOp(0, Poly.x()), Fraction(0))
+            _fiber_move(AnalyticOp(0, Poly.x()), AnalyticOp(0, Poly.x()), 0)
 
     def test_base_point_guard(self):
         with pytest.raises(BasePointMismatch):
-            _fiber_move(AnalyticOp(0, Poly.one()), AnalyticOp(1, Poly.one()), Fraction(0))
+            _fiber_move(AnalyticOp(0, Poly.one()), AnalyticOp(1, Poly.one()), 0)
 
 
 class TestSolveSingle:
@@ -242,7 +230,6 @@ class TestSelectBasepoints:
 
     @given(st.lists(nonzero_polys, min_size=1, max_size=4), st.lists(st.integers(0, 8), max_size=6))
     def test_avoided_points_are_skipped(self, rs, avoid):
-        avoid = tuple(Fraction(t) for t in avoid)
         if coefficient_rank(rs) < len(rs):
             with pytest.raises(LinearlyDependent):
                 picked_points(rs, avoid)
@@ -255,7 +242,7 @@ class TestSelectBasepoints:
 
     def test_unit_and_x(self):
         assert picked_points([Poly.one(), Poly.x()]) == [0, 1]
-        assert picked_points([Poly.one(), Poly.x()], (Fraction(0), Fraction(1))) == [-1, 2]
+        assert picked_points([Poly.one(), Poly.x()], (0, 1)) == [-1, 2]
 
     def test_single_with_root_at_origin(self):
         assert picked_points([Poly.one()]) == [0]
@@ -346,7 +333,7 @@ class TestNodeSetPerDiagonalisation:
 
     def test_shears_share_one(self, builds):
         ops = [AnalyticOp(0, Poly(cs)) for cs in ((-2, -1), (-1, -3), (-1, 0, -1))]
-        word, _ = _diagonalize_tuple(ops, (Fraction(-1),))  # at 0, 1 and 2
+        word, _ = _diagonalize_tuple(ops, (-1,))  # at 0, 1 and 2
         assert len(word) == 3 and len(builds) == 1
 
 
@@ -364,14 +351,14 @@ class TestSingularPattern:
     def test_raises_linearly_dependent(self, rs, points):
         ops = [AnalyticOp(0, r) for r in rs]
         with pytest.raises(LinearlyDependent):
-            _diagonalize_tuple(ops, [Fraction(b) for b in points])
+            _diagonalize_tuple(ops, points)
 
     @settings(deadline=None, max_examples=80)
     @given(st.data())
     def test_raises_exactly_when_singular(self, data):
         m = data.draw(st.integers(1, 4))
         rs = data.draw(st.lists(small_int_polys.filter(bool), min_size=m, max_size=m))
-        avoid = data.draw(st.lists(st.integers(-3, 3).map(Fraction), max_size=m, unique=True))
+        avoid = data.draw(st.lists(st.integers(-3, 3), max_size=m, unique=True))
         ops = [AnalyticOp(0, r) for r in rs]
         if coefficient_rank(rs) < m:
             with pytest.raises(LinearlyDependent):
@@ -424,20 +411,20 @@ class TestDiagonalizeMatchesReference:
         assume(coefficient_rank(rs) == m)
         a = data.draw(mixed_rats)
         ops = [AnalyticOp(a, r) for r in rs]
-        avoid = data.draw(st.lists(st.integers(-3, 3).map(Fraction), max_size=m, unique=True))
+        avoid = data.draw(st.lists(st.integers(-3, 3), max_size=m, unique=True))
         self.check(ops, avoid)
 
     def test_negative_pivots(self):
         # every pivot is negative, and each row needs its shear
         ops = [AnalyticOp(0, Poly(cs)) for cs in ((-2, -1), (-1, -3), (-1, 0, -1))]
         for avoid in ([-1], [0, 1]):
-            word, diag = self.check(ops, [Fraction(b) for b in avoid])
+            word, diag = self.check(ops, avoid)
             assert len(word) == 3 and all(c < 0 for c in diag.values)
 
     @staticmethod
     def check(ops, avoid):
         word, diag = _diagonalize_tuple(ops, avoid)
-        points = [Fraction(b) for b in ref_select_basepoints([op.r for op in ops], avoid)]
+        points = ref_select_basepoints([op.r for op in ops], avoid)
         assert (word, diag.base_points, diag.values) == ref_diagonalize(ops, points)
         return word, diag
 
@@ -486,22 +473,32 @@ class TestDiagonalPatternCheck:
 
 class TestBridge:
     def test_single_member(self):
-        src = _DiagonalTuple((Fraction(0),), (Fraction(1),), (AnalyticOp(2, Poly.one()),))
-        word, out = _bridge_tuple(src, [Fraction(1)], [Fraction(1)])
+        src = _DiagonalTuple((0,), (Fraction(1),), (AnalyticOp(2, Poly.one()),))
+        word, out = _bridge_tuple(src, [1], [Fraction(1)])
         assert out.ops[0].r == Poly.one()  # interpolation through (0,1),(1,1)
         assert apply_word_tuple(word, list(src.ops)) == list(out.ops)
 
     def test_collision_rejected(self):
-        src = _DiagonalTuple((Fraction(0),), (Fraction(1),), (AnalyticOp(2, Poly.one()),))
+        src = _DiagonalTuple((0,), (Fraction(1),), (AnalyticOp(2, Poly.one()),))
         with pytest.raises(BasePointCollision):
-            _bridge_tuple(src, [Fraction(0)], [Fraction(1)])
+            _bridge_tuple(src, [0], [Fraction(1)])
+
+    def test_destination_pattern_checked_on_the_result(self):
+        # repeated destination points and zero destination values are refused
+        # by the node set and by the closing diagonal tuple
+        ops = (AnalyticOp(0, Poly((1, -1))), AnalyticOp(0, Poly((0, 2))))
+        src = _DiagonalTuple((0, 1), (Fraction(1), Fraction(2)), ops)
+        with pytest.raises(DuplicateAbscissa):
+            _bridge_tuple(src, [2, 2], [Fraction(1), Fraction(1)])
+        with pytest.raises(ZeroFiberValue):
+            _bridge_tuple(src, [2, 3], [Fraction(1), Fraction(0)])
 
     def test_two_members(self):
         rng = random.Random(79)
         for _ in range(5):
             ops = random_independent(rng, 2, Fraction(0))
             _, diag = _diagonalize_tuple(ops)
-            fresh = [b for b in (Fraction(5), Fraction(6), Fraction(7)) if b not in diag.base_points][:2]
+            fresh = [b for b in (5, 6, 7) if b not in diag.base_points][:2]
             word, out = _bridge_tuple(diag, fresh, [Fraction(2), Fraction(3)])
             assert apply_word_tuple(word, list(diag.ops)) == list(out.ops)
             assert out.base_points == tuple(fresh)
@@ -520,12 +517,12 @@ class TestBridgeCorrection:
         a = data.draw(st.integers(-2, 2))
         ops = [AnalyticOp(a, r) for r in rs]
         _, src = _diagonalize_tuple(ops)
-        free = [b for b in SCAN[:12] + [Fraction(1, 2), Fraction(-7, 3)] if b not in src.base_points]
+        free = [b for b in SCAN[:12] if b not in src.base_points]
         dst_points = data.draw(st.lists(st.sampled_from(free), min_size=m, max_size=m, unique=True))
         dst_values = data.draw(
             st.lists(st.fractions(-5, 5, max_denominator=4).filter(bool), min_size=m, max_size=m)
         )
-        word, out = _bridge_tuple(src, [Fraction(b) for b in dst_points], dst_values)
+        word, out = _bridge_tuple(src, dst_points, dst_values)
         for k, target in enumerate(out.ops):
             assert [target.r(p) for p in src.base_points] == [
                 src.values[k] if j == k else 0 for j in range(m)
@@ -856,6 +853,34 @@ def test_distinct_words_are_checked_once(monkeypatch):
     assert selftest.run_criterion(10).passed
     assert len(requests) == 30
     assert all(count <= bound for count, bound in requests), requests
+
+
+def test_points_are_ints_until_they_become_generator_fields(monkeypatch):
+    # the scan and every diagonal base point are ints; each shear of a word
+    # holds its point as a Fraction, so the wire bytes are those of a Fraction
+    assert [type(b) for b in transitivity._scan(5)] == [int] * 5
+    points = []
+    diagonalize = transitivity._diagonalize_tuple
+
+    def recording(ops, avoid=()):
+        word, diag = diagonalize(ops, avoid)
+        points.extend(diag.base_points)
+        return word, diag
+
+    monkeypatch.setattr(transitivity, "_diagonalize_tuple", recording)
+    rng = random.Random(127)
+    ops = [AnalyticOp(random_rat(rng), random_poly(rng, 5)) for _ in range(2)]
+    words = [solve_single(*ops), make_independent([AnalyticOp(0, r) for r in DEGENERATE])]
+    for m in (2, 3):
+        a = random_rat(rng)
+        words.append(solve_tuple_independent(random_independent(rng, m, a), random_independent(rng, m, a)))
+        dependent = _random_distinct(rng, m, a)
+        dependent[-1] = AnalyticOp(a, dependent[0].r * 3)
+        words.append(solve_distinct_tuple(dependent, _random_distinct(rng, m, a)))
+    assert len(points) == 2 * (1 + 2 * (2 + 3)) and {type(b) for b in points} == {int}
+    shears = [gen for word in words for gen in word if isinstance(gen, Shear)]
+    assert {type(gen) for gen in shears} == {Shear, ShearSquared}
+    assert {type(gen.b) for gen in shears} == {Fraction}
 
 
 SCAN = [0] + [sign * t for t in range(1, 40) for sign in (1, -1)]
