@@ -15,6 +15,11 @@ The curve of functionals realised by an actual integration base point a is
 ``curve_coords``, its symbolic form in a is ``curve_coords_symbolic``, and
 ``recover_base_point`` decides whether a head lies on the curve.
 
+The equation itself is ``operators._scaled_equation``, shared with the
+identity check: at weight 0 the residual of a multiplier-type truncation on
+(x^n, x^m) is minus the (n, m) equation of its image constants, so
+``first_rb_failure`` evaluates that equation too.
+
 Membership rests on the paper's classification (PAPER.md): an injective
 weight-zero Rota-Baxter operator on Q[x] whose head lies on the curve of r
 is analytically modeled, R = I_a(r*), so its functional solves every
@@ -27,12 +32,11 @@ budget can still accept.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 from .mpoly import MPoly
-from .operators import AnalyticOp, TruncOp, TruncationTooSmall, derived_multiplier
+from .operators import AnalyticOp, TruncOp, TruncationTooSmall, _scaled_equation, derived_multiplier
 from .poly import Poly, RatLike, _Value, as_rat, common_root
 
 
@@ -103,29 +107,6 @@ def functional_residual(fc: FunctionalCoords, f: Poly, g: Poly) -> Fraction:
     r = fc.r
     argument = (r * f).integrate_at(0) * g + f * (r * g).integrate_at(0)
     return fc.pairing(f) * fc.pairing(g) + fc.pairing(argument)
-
-
-def _scaled_equation(r: Poly, c, n: int, m: int, top: bool = True):
-    """s times the (n, m) equation, s, and the weight of its top term.
-
-    Coordinates are read as c(index).  With L the lcm of the (i+n+1)(i+m+1)
-    and s = L * den(r), each coefficient s * (1/(i+n+1) + 1/(i+m+1)) * r_i is
-    an integer weight w_i, so the value s c_n c_m + sum_i w_i c_(i+n+m+1)
-    needs no ``Fraction`` per term, and is zero exactly when the equation
-    is.  Works in any ring the coordinates live in (rationals, ``MPoly``,
-    ``Poly`` in the base point).  With ``top=False`` the i = deg r term, the
-    highest coordinate, is left out of the value.
-    """
-    rs = r.num
-    dens = [(i + n + 1) * (i + m + 1) for i in range(len(rs))]
-    lcm = math.lcm(*dens)
-    s = lcm * r.den
-    ws = [(2 * i + n + m + 2) * (lcm // d) * ri for i, (d, ri) in enumerate(zip(dens, rs))]
-    value = c(n) * c(m) * s
-    for i in range(len(rs) if top else len(rs) - 1):
-        if ws[i]:
-            value = value + c(i + n + m + 1) * ws[i]
-    return value, s, ws[-1]
 
 
 def _equation(r: Poly, c, n: int, m: int):

@@ -7,10 +7,13 @@ generic linear operator cut off at the monomials ``x^0 .. x^N``, stored as
 the list of their images.
 
 The canonicalisation path builds no ``Poly`` per monomial: ``truncate``
-writes each image's integer numerators in one pass, the identity check
-loops over the nonzero entries of integer rows over one common
-denominator, and the multiplier is checked against each row shifted by n
-by integer cross-multiplication.
+writes each image's integer numerators in one pass, and the multiplier is
+checked against each row shifted by n by integer cross-multiplication.
+The weight-zero identity check on a truncation of multiplier type reads
+only the image constants: per pair it evaluates one integer coordinate
+equation (``_scaled_equation``, which ``rbx.functionals`` shares).  Other
+weights and other truncations get the whole residual, looping over the
+nonzero entries of integer rows over one common denominator.
 
 ``operator_to_point`` recovers the moduli point from a truncation in one
 pass over its images: the multiplier r comes from differentiating them,
@@ -124,6 +127,43 @@ class TruncOp(_Value):
         return cls(images)
 
 
+def _scaled_equation(r: Poly, c, n: int, m: int, top: bool = True):
+    """s times the (n, m) coordinate equation, s, and the weight of its top term.
+
+    The equation is c_n c_m + sum_i (1/(i+n+1) + 1/(i+m+1)) r_i c_(i+n+m+1),
+    with the coordinates read as c(index).  With L the lcm of the
+    (i+n+1)(i+m+1) and s = L * den(r), each coefficient s * (1/(i+n+1) +
+    1/(i+m+1)) * r_i is an integer weight w_i, so the value s c_n c_m +
+    sum_i w_i c_(i+n+m+1) needs no ``Fraction`` per term, and is zero exactly
+    when the equation is.  Works in any ring the coordinates live in
+    (integers, rationals, ``MPoly``, ``Poly`` in the base point).  With
+    ``top=False`` the i = deg r term, the highest coordinate, is left out of
+    the value.  The one quadratic form of the package: ``first_rb_failure``
+    and every equation of ``rbx.functionals`` evaluate it.
+    """
+    rs = r.num
+    dens = [(i + n + 1) * (i + m + 1) for i in range(len(rs))]
+    lcm = math.lcm(*dens)
+    s = lcm * r.den
+    ws = [(2 * i + n + m + 2) * (lcm // d) * ri for i, (d, ri) in enumerate(zip(dens, rs))]
+    value = c(n) * c(m) * s
+    for i in range(len(rs) if top else len(rs) - 1):
+        if ws[i]:
+            value = value + c(i + n + m + 1) * ws[i]
+    return value, s, ws[-1]
+
+
+def _reach(images, n: int, m: int) -> tuple[int, int]:
+    """The lengths of images n and m, once the pair and its inner images are within reach."""
+    top = len(images) - 1
+    if n > top or m > top or n + m > top:
+        raise TruncationTooSmall(f"pair ({n},{m}) is out of reach at truncation {top}")
+    ln, lm = len(images[n].num), len(images[m].num)
+    if ln - 1 + m > top or lm - 1 + n > top:
+        raise TruncationTooSmall(f"inner images for pair ({n},{m}) exceed truncation {top}")
+    return ln, lm
+
+
 def _scaled_residuals(op: TruncOp, weight: Fraction, pairs):
     """Yield the residual on each pair (n, m), times D^2*q, as an integer vector.
 
@@ -131,6 +171,11 @@ def _scaled_residuals(op: TruncOp, weight: Fraction, pairs):
     With the images R(x^i) = M[i]/D over one denominator and weight p/q it is
     q*(M[n]*M[m] - sum_i M[n][i]*M[i+m] - sum_i M[m][i]*M[i+n]) - p*D*M[n+m].
     Each row M[i] is kept as its nonzero ``(index, numerator)`` pairs.
+
+    ``first_rb_failure`` uses it for the inputs the coordinate equation does
+    not cover: weights other than 0, and truncations that are not of
+    multiplier type (the odd-halving example), have the zero multiplier, or
+    hold a single image.
     """
     images = op.images
     den = math.lcm(*(p.den for p in images))
@@ -139,13 +184,9 @@ def _scaled_residuals(op: TruncOp, weight: Fraction, pairs):
         scale = den // p.den
         rows.append([(i, c * scale) for i, c in enumerate(p.num) if c])
     wq, wp = weight.denominator, weight.numerator * den
-    top, width = op.n_max, max(len(p.num) for p in images)
+    width = max(len(p.num) for p in images)
     for n, m in pairs:
-        if n > top or m > top or n + m > top:
-            raise TruncationTooSmall(f"pair ({n},{m}) is out of reach at truncation {top}")
-        ln, lm = len(images[n].num), len(images[m].num)
-        if ln - 1 + m > top or lm - 1 + n > top:
-            raise TruncationTooSmall(f"inner images for pair ({n},{m}) exceed truncation {top}")
+        ln, lm = _reach(images, n, m)
         out = [0] * max(ln + lm, width)
         rn, rm = rows[n], rows[m]
         for i, a in rn:
@@ -162,13 +203,51 @@ def _scaled_residuals(op: TruncOp, weight: Fraction, pairs):
         yield out
 
 
+def _scaled_equations(op: TruncOp, r: Poly, pairs):
+    """Yield a nonzero integer multiple of each (n, m) equation of the image constants.
+
+    For a truncation of multiplier type with multiplier r, e is the lcm of
+    the image denominators and C_i = e * R(x^i)(0) are integers.  The (n, m)
+    equation of the multiplier e*r at the C_i is e^2 times that of r at the
+    constants, so each value is one integer ``_scaled_equation``.
+    """
+    images = op.images
+    e = math.lcm(*(p.den for p in images))
+    consts = [p.num[0] * (e // p.den) for p in images]  # no image is zero
+    er = r * e
+    for n, m in pairs:
+        _reach(images, n, m)
+        yield _scaled_equation(er, consts.__getitem__, n, m)[0]
+
+
 def first_rb_failure(op: TruncOp, weight: RatLike, d: int) -> "tuple[int, int] | None":
-    """First pair (n, m), n <= m <= d, where the identity fails; None if all hold."""
+    """First pair (n, m), n <= m <= d, where the identity fails; None if all hold.
+
+    At weight 0 a truncation of multiplier type (``derived_multiplier``
+    passes) is checked through its image constants alone.  Each image is
+    then R(x^i) = J(x^i) + c_i, with J(f) the antiderivative of r*f from 0
+    and c_i = R(x^i)(0).  J is itself a weight-zero Rota-Baxter operator
+    (integration by parts), so on (x^n, x^m) every non-constant term of the
+    residual cancels, and what is left is minus the (n, m) coordinate
+    equation c_n c_m + c(J(x^n) x^m + x^n J(x^m)): one integer per pair,
+    from the images the residual reads.  Image n has length n + k + 2 on
+    this path (k = deg r), so the pairs out of reach are the same.  Every
+    other input gets the residual vectors of ``_scaled_residuals``.
+    """
     if d < 0:
         raise ValueError(f"identity check degree must be non-negative, got {d}")
+    weight = as_rat(weight)
     pairs = [(n, m) for n in range(d + 1) for m in range(n, d + 1)]
-    for pair, residual in zip(pairs, _scaled_residuals(op, as_rat(weight), pairs)):
-        if any(residual):
+    defects = None
+    if weight == 0:
+        try:
+            defects = _scaled_equations(op, derived_multiplier(op), pairs)
+        except (TruncationTooSmall, NotMultiplierType, ZeroMultiplier):
+            pass
+    if defects is None:
+        defects = map(any, _scaled_residuals(op, weight, pairs))
+    for pair, defect in zip(pairs, defects):
+        if defect:
             return pair
     return None
 

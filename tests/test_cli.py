@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -105,6 +106,18 @@ class TestVerify:
             code, out, err = run(capsys, ["verify", path, "--degree", degree])
             assert (code, out) == (2, "")
             assert err == f"error: identity check degree must be non-negative, got {degree}\n"
+
+    def test_tall_point_at_the_degree_cap_within_budget(self, tmp_path, capsys):
+        # budget 10 s; on a 2-core x86 VM the weight-zero check took 17-26 s
+        # through residual vectors and 1.6-2.2 s through the coordinate equation
+        path = write(
+            tmp_path, "op.json", {"a": "123456789/987654321", "r": "x^3 + 12345678901234567890*x - 7/11"}
+        )
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["verify", path, "--degree", "128"])
+        elapsed = time.perf_counter() - start
+        assert (code, json.loads(out), err) == (0, {"holds": True, "weight": "0", "degree": 128}, "")
+        assert elapsed < 10, f"rbx verify --degree 128 took {elapsed:.2f}s, budget 10s"
 
     @pytest.mark.parametrize("form", ["point", "truncation"])
     def test_degree_cap_in_a_fresh_process(self, tmp_path, form):

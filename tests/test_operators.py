@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rbx
+from rbx import operators
 from rbx.operators import (
     AnalyticOp,
     Inconsistent,
@@ -187,6 +188,29 @@ def bumped_truncations(draw):
     return TruncOp(tuple(images)), d
 
 
+@st.composite
+def reach_truncations(draw):
+    """Analytic truncations at heights up to 2^64, around the reach of degree d.
+
+    The check at degree d reads the images up to 2d + k + 1 (k the multiplier
+    degree); the truncation stops between two below and one above that.  A
+    constant bump keeps the rows of multiplier type, so a weight-zero check
+    reads the coordinate equation; a bump of degree 1 or more breaks them and
+    the check falls back to residual vectors.
+    """
+    k, d, bits = draw(st.integers(0, 3)), draw(st.integers(0, 6)), draw(st.integers(1, 64))
+    r = Poly(tuple(tall_rat(draw, bits) for _ in range(k)) + (tall_rat(draw, bits) or Fraction(1),))
+    n = draw(st.integers(max(2 * d + k - 1, 0), 2 * d + k + 2))
+    images = list(AnalyticOp(tall_rat(draw, bits), r).truncate(n).images)
+    kind, t = draw(st.sampled_from(["none", "constant", "term"])), draw(st.integers(0, n))
+    if kind == "constant":
+        images[t] = images[t] + Poly.constant(tall_rat(draw, bits) or 1)
+    elif kind == "term":
+        exp = draw(st.integers(1, n + k + 2))
+        images[t] = images[t] + Poly.monomial(exp, tall_rat(draw, bits) or 1)
+    return TruncOp(tuple(images)), d
+
+
 class TestResidualMatchesReference:
     """The scaled residuals and first_rb_failure agree with the Poly formula, errors included."""
 
@@ -215,6 +239,12 @@ class TestResidualMatchesReference:
         n, m = data.draw(st.integers(0, op.n_max)), data.draw(st.integers(0, op.n_max))
         assert outcome(residual, op, weight, n, m) == outcome(ref_rb_residual, op, weight, n, m)
 
+    @settings(deadline=None, max_examples=300)
+    @given(reach_truncations())
+    def test_weight_zero_first_failure_around_the_reach(self, case):
+        op, d = case
+        assert outcome(first_rb_failure, op, 0, d) == outcome(ref_first_failure, op, 0, d)
+
     def test_later_failing_pair_and_reach_messages(self):
         # plain integration with R(x^2) bumped by 1: (0, 0) holds and (0, 1),
         # whose inner image R(1)*x = x^2 reads R(x^2), is the first failure
@@ -231,6 +261,48 @@ class TestResidualMatchesReference:
         assert outcome(first_rb_failure, zero, 0, 5) == (
             TruncationTooSmall, "pair (0,5) is out of reach at truncation 4"
         )
+
+
+class ResidualsBuilt(Exception):
+    pass
+
+
+class TestIdentityCheckRouting:
+    """At weight 0 a multiplier-type truncation is checked without residual vectors."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_residuals(self, monkeypatch):
+        def refuse(*args):
+            raise ResidualsBuilt
+
+        monkeypatch.setattr(operators, "_scaled_residuals", refuse)
+
+    @pytest.mark.parametrize("weight", [0, Fraction(0), "0"], ids=["int", "Fraction", "text"])
+    def test_analytic_truncations_take_the_coordinate_equation(self, weight):
+        op = AnalyticOp(Fraction(-7, 3), Poly((1, 0, 2)))
+        trunc = op.truncate(13)
+        assert first_rb_failure(trunc, weight, 5) is None
+        # c_6 is first read by (0, 3), through the x^2 term of the multiplier
+        images = list(trunc.images)
+        images[6] = images[6] + Poly.constant(1)
+        assert first_rb_failure(TruncOp(tuple(images)), weight, 5) == (0, 3)
+        assert outcome(first_rb_failure, op.truncate(9), weight, 4) == (
+            TruncationTooSmall, "inner images for pair (3,4) exceed truncation 9"
+        )
+
+    @pytest.mark.parametrize(
+        "op,weight",
+        [
+            (AnalyticOp(Fraction(-7, 3), Poly((1, 0, 2))).truncate(12), 1),
+            (odd_halving_example(12), 0),
+            (TruncOp((Poly.constant(3), Poly.zero(), Poly.constant(Fraction(-1, 2)))), 0),
+            (TruncOp((Poly.x(),)), 0),
+        ],
+        ids=["weight-1", "odd-halving", "all-constant", "one-image"],
+    )
+    def test_other_inputs_build_residual_vectors(self, op, weight):
+        with pytest.raises(ResidualsBuilt):
+            first_rb_failure(op, weight, 0)
 
 
 def ref_images(a, rs, n):
