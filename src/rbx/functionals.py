@@ -18,7 +18,10 @@ The curve of functionals realised by an actual integration base point a is
 The equation itself is ``operators._scaled_equation``, shared with the
 identity check: at weight 0 the residual of a multiplier-type truncation on
 (x^n, x^m) is minus the (n, m) equation of its image constants, so
-``first_rb_failure`` evaluates that equation too.
+``first_rb_failure`` evaluates that equation too.  Over ``MPoly`` and
+``Poly`` coordinates it is one fused pass reduced once, the division of an
+elimination step by the weight of c_t included; rational and integer
+coordinates keep the loop of ring operators.
 
 Membership rests on the paper's classification (PAPER.md): an injective
 weight-zero Rota-Baxter operator on Q[x] whose head lies on the curve of r
@@ -111,7 +114,7 @@ def functional_residual(fc: FunctionalCoords, f: Poly, g: Poly) -> Fraction:
 
 def _equation(r: Poly, c, n: int, m: int):
     """c_n c_m + sum_i (1/(i+n+1) + 1/(i+m+1)) r_i c_(i+n+m+1), coordinates read as c(index)."""
-    value, s, _ = _scaled_equation(r, c, n, m)
+    value, s = _scaled_equation(r, c, n, m)
     return value * Fraction(1, s)
 
 
@@ -120,8 +123,7 @@ def _step(r: Poly, c, t: int):
 
     The weight of c_t, s * (1/t + 1/(k+1)) * lead(r), is nonzero in characteristic zero.
     """
-    value, _, lead = _scaled_equation(r, c, t - 1 - r.degree, 0, top=False)
-    return value * Fraction(-1, lead)
+    return _scaled_equation(r, c, t - 1 - r.degree, 0, solve=True)[0]
 
 
 def _extend(r: Poly, head: list, top: int) -> list:

@@ -6,7 +6,10 @@ exponent)`` pairs with positive exponents) to nonzero integers, ``den`` is
 coprime to them all, zero is ``({}, 1)``, and ``terms`` is the derived map to
 ``Fraction`` coefficients.  The form is canonical, so equality compares
 ``(num, den)``; the ring operations run on the integers and reduce once per
-result.  Values are immutable by convention and all operations are pure.
+result.  A coordinate equation is reduced once in all: ``_lincomb`` sums its
+integer-weighted terms over one lcm of their denominators, where a product
+and a sum per term would reduce the whole term map twice per term.  Values
+are immutable by convention and all operations are pure.
 
 Products enforce a total-degree cap of 64 so a runaway elimination raises
 :class:`DegreeCapExceeded` instead of hanging.
@@ -140,16 +143,40 @@ class MPoly:
                     else:
                         del out[key]
             return _normal(out, self.den * other.den)
-        if isinstance(other, (Fraction, int)):
-            q = as_rat(other)
-            if q == 0:
+        if isinstance(other, int) and not isinstance(other, bool):
+            if not other:
                 return MPoly()
-            return _normal(
-                {k: c * q.numerator for k, c in self.num.items()}, self.den * q.denominator
-            )
+            return _normal({k: c * other for k, c in self.num.items()}, self.den)
+        if isinstance(other, Fraction):
+            if not other:
+                return MPoly()
+            p = other.numerator
+            return _normal({k: c * p for k, c in self.num.items()}, self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def _lincomb(self, s: int, terms, div: int = 1) -> "MPoly":
+        """(s*self + the sum of w*p over the pairs (w, p) in terms) / div; s, w, div nonzero ints.
+
+        One pass over the numerators, scaled to one lcm of the denominators,
+        and one reduction: ``operators._scaled_equation`` sums each
+        coordinate equation with it.
+        """
+        if div < 0:
+            s, div, terms = -s, -div, [(-w, p) for w, p in terms]
+        den = math.lcm(self.den, *(p.den for _, p in terms))
+        f = s * (den // self.den)
+        out = {key: c * f for key, c in self.num.items()}
+        for w, p in terms:
+            f = w * (den // p.den)
+            for key, c in p.num.items():
+                acc = out.get(key, 0) + c * f
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+        return _normal(out, den * div)
 
     # -- evaluation --------------------------------------------------------
 

@@ -127,30 +127,43 @@ class TruncOp(_Value):
         return cls(images)
 
 
-def _scaled_equation(r: Poly, c, n: int, m: int, top: bool = True):
-    """s times the (n, m) coordinate equation, s, and the weight of its top term.
+def _scaled_equation(r: Poly, c, n: int, m: int, solve: bool = False):
+    """s times the (n, m) coordinate equation, and s.
 
     The equation is c_n c_m + sum_i (1/(i+n+1) + 1/(i+m+1)) r_i c_(i+n+m+1),
     with the coordinates read as c(index).  With L the lcm of the
     (i+n+1)(i+m+1) and s = L * den(r), each coefficient s * (1/(i+n+1) +
     1/(i+m+1)) * r_i is an integer weight w_i, so the value s c_n c_m +
     sum_i w_i c_(i+n+m+1) needs no ``Fraction`` per term, and is zero exactly
-    when the equation is.  Works in any ring the coordinates live in
-    (integers, rationals, ``MPoly``, ``Poly`` in the base point).  With
-    ``top=False`` the i = deg r term, the highest coordinate, is left out of
-    the value.  The one quadratic form of the package: ``first_rb_failure``
-    and every equation of ``rbx.functionals`` evaluate it.
+    when the equation is.  With ``solve=True`` the i = deg r term is left out
+    and the rest divided by minus its weight: the value is then the highest
+    coordinate, c_(n+m+deg r+1), solved from the equation.
+
+    Works in any ring the coordinates live in.  When c_n c_m is a ``Poly``
+    (in the base point) or an ``MPoly``, ``_lincomb`` sums the weighted
+    numerators over one lcm of their denominators and reduces once, where
+    the ring operators would copy the whole term map and reduce it once per
+    product and once per sum.  Integer coordinates (the identity check) and
+    rational ones (``satisfies_system``) keep the operator loop: an integer
+    sum has nothing to reduce, and each coordinate is one number.  The one
+    quadratic form of the package: ``first_rb_failure`` and every equation
+    of ``rbx.functionals`` evaluate it.
     """
     rs = r.num
     dens = [(i + n + 1) * (i + m + 1) for i in range(len(rs))]
     lcm = math.lcm(*dens)
     s = lcm * r.den
     ws = [(2 * i + n + m + 2) * (lcm // d) * ri for i, (d, ri) in enumerate(zip(dens, rs))]
-    value = c(n) * c(m) * s
-    for i in range(len(rs) if top else len(rs) - 1):
-        if ws[i]:
-            value = value + c(i + n + m + 1) * ws[i]
-    return value, s, ws[-1]
+    value = c(n) * c(m)
+    terms = enumerate(ws[:-1] if solve else ws, n + m + 1)
+    if isinstance(value, int) or isinstance(value, Fraction):
+        value *= s
+        for j, w in terms:
+            if w:
+                value += c(j) * w
+        return (value * Fraction(-1, ws[-1]) if solve else value), s
+    terms = [(w, c(j)) for j, w in terms if w]
+    return value._lincomb(s, terms, -ws[-1] if solve else 1), s
 
 
 def _reach(images, n: int, m: int) -> tuple[int, int]:

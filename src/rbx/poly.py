@@ -9,7 +9,8 @@ silently wrong.  ``gcd`` is a primitive remainder sequence over the
 integers and ``common_root`` reads a rational root off it.
 
 Evaluation (``Poly._at``) runs on the integers too, and interpolation
-(``_nodes``) is at integer nodes.
+(``_nodes``) is at integer nodes.  A coordinate equation over polynomials in
+the base point is one integer-weighted sum, ``_lincomb``, reduced once.
 
 The module also owns the polynomial text grammar used by the CLI and the
 JSON payloads: a sum of terms ``[+-] coef [*] [x [^ exp]]`` with ``coef``
@@ -263,7 +264,7 @@ class Poly(_Value):
                 for j, cj in enumerate(b):
                     out[i + j] += ci * cj
             return _normal(out, self.den * other.den)
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return _normal([c * other for c in self.num], self.den)
         if isinstance(other, Fraction):
             p = other.numerator
@@ -271,6 +272,26 @@ class Poly(_Value):
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def _lincomb(self, s: int, terms, div: int = 1) -> "Poly":
+        """(s*self + the sum of w*p over the pairs (w, p) in terms) / div; s, w, div nonzero ints.
+
+        One pass over the numerators, scaled to one lcm of the denominators,
+        and one reduction: ``operators._scaled_equation`` sums each
+        coordinate equation with it.
+        """
+        if div < 0:
+            s, div, terms = -s, -div, [(-w, p) for w, p in terms]
+        den = math.lcm(self.den, *(p.den for _, p in terms))
+        f = s * (den // self.den)
+        out = [c * f for c in self.num]
+        for w, p in terms:
+            f = w * (den // p.den)
+            if len(out) < len(p.num):
+                out += [0] * (len(p.num) - len(out))
+            for i, c in enumerate(p.num):
+                out[i] += c * f
+        return _normal(out, den * div)
 
     # -- calculus and evaluation ------------------------------------------
 

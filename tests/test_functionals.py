@@ -1,7 +1,10 @@
 """Functional coordinates: the quadratic system, elimination and curve membership."""
 
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +28,14 @@ from rbx.functionals import (
     vanishes_on_curve,
 )
 from rbx.mpoly import DegreeCapExceeded, MPoly
-from rbx.operators import AnalyticOp, TruncationTooSmall, is_rb_upto
+from rbx.operators import (
+    AnalyticOp,
+    TruncationTooSmall,
+    TruncOp,
+    _scaled_equation,
+    first_rb_failure,
+    is_rb_upto,
+)
 from rbx.poly import Poly
 from random_values import random_poly, random_rat
 
@@ -242,6 +252,166 @@ class TestCoordinateEquation:
                 for m in range(3):
                     eq = coordinate_equation(r, n, m)
                     assert eq.eval_at(dict(enumerate(coords))) == 0
+
+
+# -- the fused equation against a term-by-term reference and the operator loop ----
+
+tall_coefs = st.one_of(st.just(0), st.integers(-(2**64), 2**64), tall_base_points)
+
+
+@st.composite
+def tall_multipliers(draw, max_deg=4):
+    """A nonzero multiplier with coefficients up to 2^64, zero interior ones included."""
+    low = draw(st.lists(tall_coefs, max_size=max_deg))
+    return Poly(tuple(low) + (draw(tall_coefs.filter(bool)),))
+
+
+mpoly_keys = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=2).map(tuple)
+
+# coordinates in each ring the equation is evaluated in
+RINGS = {
+    "int": st.integers(-(2**64), 2**64),
+    "Fraction": tall_base_points,
+    "Poly": st.lists(tall_coefs, max_size=3).map(lambda cs: Poly(tuple(cs))),
+    "MPoly": st.dictionaries(mpoly_keys, tall_coefs, max_size=2).map(MPoly),
+}
+
+
+def ring_terms(v):
+    """A coordinate as its Fraction coefficients: by key, by power of a, or at the key ()."""
+    if isinstance(v, MPoly):
+        return v.terms
+    if isinstance(v, Poly):
+        return dict(enumerate(v.coeffs))
+    return {(): Fraction(v)}
+
+
+def from_terms(like, terms):
+    """The element of the ring of ``like`` with the Fraction coefficients ``terms``."""
+    if isinstance(like, MPoly):
+        return MPoly(terms)
+    if isinstance(like, Poly):
+        return Poly(tuple(terms.get(e, 0) for e in range(max(terms, default=-1) + 1)))
+    return terms.get((), Fraction(0))
+
+
+def ref_scale(r, n, m):
+    return math.lcm(*((i + n + 1) * (i + m + 1) for i in range(r.degree + 1))) * r.den
+
+
+def ref_weights(r, n, m):
+    return [(Fraction(1, i + n + 1) + Fraction(1, i + m + 1)) * ri for i, ri in enumerate(r.coeffs)]
+
+
+def ref_scaled_equation(r, c, n, m, solve):
+    """s times c_n c_m + sum_i (1/(i+n+1) + 1/(i+m+1)) r_i c_(i+n+m+1), term by term.
+
+    With ``solve`` the top term is left out and the rest divided by minus its
+    coefficient, in place of the factor s.
+    """
+    ws = ref_weights(r, n, m)
+    acc = dict(ring_terms(c(n) * c(m)))
+    for i, w in enumerate(ws[:-1] if solve else ws):
+        for key, q in ring_terms(c(i + n + m + 1)).items():
+            acc[key] = acc.get(key, 0) + w * q
+    scale = -1 / ws[-1] if solve else ref_scale(r, n, m)
+    return from_terms(c(n) * c(m), {key: q * scale for key, q in acc.items() if q})
+
+
+def loop_scaled_equation(r, c, n, m, solve):
+    """The same value by the ring operators: one product and one sum per term."""
+    s = ref_scale(r, n, m)
+    ws = [int(w * s) for w in ref_weights(r, n, m)]
+    value = c(n) * c(m) * s
+    for i, w in enumerate(ws[:-1] if solve else ws):
+        if w:
+            value = value + c(i + n + m + 1) * w
+    return value * Fraction(-1, ws[-1]) if solve else value
+
+
+def canonical(v):
+    """What must agree between two equal results: ``MPoly`` is unhashable, so its fields."""
+    return (v.num, v.den) if isinstance(v, MPoly) else hash(v)
+
+
+class TestFusedEquation:
+    """``_scaled_equation`` in every ring against a Fraction reference and the operator loop."""
+
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    @settings(deadline=None, max_examples=40)
+    @given(tall_multipliers(), st.integers(0, 8), st.integers(0, 8), st.data())
+    def test_matches_term_by_term_reference(self, ring, r, n, m, data):
+        top = n + m + r.degree + 1
+        coords = data.draw(st.lists(RINGS[ring], min_size=top + 1, max_size=top + 1))
+        c = coords.__getitem__
+        for solve in (False, True):
+            value, s = _scaled_equation(r, c, n, m, solve=solve)
+            assert s == ref_scale(r, n, m)
+            assert value == ref_scaled_equation(r, c, n, m, solve)
+            loop = loop_scaled_equation(r, c, n, m, solve)
+            assert value == loop and canonical(value) == canonical(loop)
+        # the solved top coordinate cancels the equation to the canonical zero
+        coords[top] = _scaled_equation(r, c, n, m, solve=True)[0]
+        zero = _scaled_equation(r, c, n, m)[0]
+        loop = loop_scaled_equation(r, c, n, m, False)
+        assert not zero and zero == loop and canonical(zero) == canonical(loop)
+        if isinstance(zero, MPoly):
+            assert (zero.num, zero.den) == ({}, 1)
+        if isinstance(zero, Poly):
+            assert zero is Poly.zero()
+
+
+class RingSum(Exception):
+    pass
+
+
+GOLDEN_TEXT = json.loads(Path(__file__).with_name("golden.json").read_text())["cli_text"]
+
+# (golden name, function, multiplier text, arguments)
+GOLDEN_EQUATIONS = [
+    ("functional-system-quadratic", coordinate_equation, "x^2 + x + 1", (2, 3)),
+    ("functional-system-cubic", coordinate_equation, "3*x^3 - 1/2*x + 2", (4, 4)),
+    ("functional-eliminate-quadratic", elimination_polynomial, "x^2 + x + 1", (6,)),
+    ("functional-eliminate-cubic", elimination_polynomial, "3*x^3 - 1/2*x + 2", (7,)),
+    ("functional-reduce-linear", reduced_equation, "2*x - 3/5", (3, 4)),
+    ("functional-reduce-quadratic", reduced_equation, "x^2 + x + 1", (2, 3)),
+    ("functional-reduce-cubic", reduced_equation, "3*x^3 - 1/2*x + 2", (1, 2)),
+]
+
+
+class TestFusedEquationRouting:
+    """``Poly`` and ``MPoly`` equations take the fused pass; the identity check does not."""
+
+    def test_symbolic_equations_need_no_ring_sum(self, monkeypatch):
+        def refuse(*args):
+            raise RingSum
+
+        monkeypatch.setattr(MPoly, "__add__", refuse)
+        monkeypatch.setattr(Poly, "__add__", refuse)
+        with pytest.raises(RingSum):
+            X + X
+        for name, fn, text, args in GOLDEN_EQUATIONS:
+            r = Poly.from_text(text)
+            assert GOLDEN_TEXT[name] == [0, fn(r, *args).to_text() + "\n"]
+            if fn is reduced_equation:
+                assert vanishes_on_curve(r, *args)
+        assert vanishes_on_curve(Poly.from_text("x^3 - 2*x + 1/3"), 4, 5)
+
+    def test_numeric_equations_keep_the_operator_loop(self, monkeypatch):
+        def refuse(*args):
+            raise RingSum
+
+        monkeypatch.setattr(MPoly, "_lincomb", refuse)
+        monkeypatch.setattr(Poly, "_lincomb", refuse)
+        r = Poly((1, 0, 2))
+        trunc = AnalyticOp(Fraction(-7, 3), r).truncate(13)
+        assert first_rb_failure(trunc, 0, 5) is None
+        images = list(trunc.images)
+        images[6] = images[6] + Poly.constant(1)
+        assert first_rb_failure(TruncOp(tuple(images)), 0, 5) == (0, 3)
+        head = curve_coords(r, Fraction(-7, 3), 3).c
+        assert satisfies_system(r, head, 4)
+        assert not satisfies_system(r, (head[0] + 1,) + head[1:], 4)
 
 
 class TestElimination:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from rbx import mpoly
 from rbx.mpoly import DegreeCapExceeded, MPoly, UnassignedVariable
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -42,6 +43,26 @@ class TestRingOps:
 
     def test_zero_coefficients_dropped(self):
         assert MPoly({((0, 1),): 0}).is_zero()
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_scalar_refused(self, flag):
+        # as_rat's contract: a bool is not a rational, so it scales nothing;
+        # Poly refuses it the same way
+        with pytest.raises(TypeError, match="bool"):
+            c0 * flag
+        with pytest.raises(TypeError, match="bool"):
+            flag * c0
+
+    def test_integer_scalar_needs_no_coercion(self, monkeypatch):
+        def refuse(value):
+            raise AssertionError("integer scalar coerced")
+
+        p = c0 * Fraction(1, 3) - c1
+        tall = MPoly({((0, 1),): Fraction(2**64, 3), ((1, 1),): -(2**64)})
+        small = MPoly({((0, 1),): -1, ((1, 1),): 3})
+        monkeypatch.setattr(mpoly, "as_rat", refuse)
+        assert p * 2**64 == tall and (-3) * p == small
+        assert (p * 0).num == {} and (p * 0).den == 1
 
     @given(mpolys(), mpolys(), mpolys())
     def test_ring_axioms(self, p, q, r):

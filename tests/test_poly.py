@@ -168,6 +168,16 @@ class TestRingOps:
         assert Poly.zero().degree == float("-inf")
         assert Poly.one().degree == 0
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_scalar_refused(self, flag):
+        # as_rat's contract: a bool is not a rational, so it scales nothing;
+        # MPoly refuses it the same way
+        p = Poly((1, 2))
+        with pytest.raises(TypeError, match="bool"):
+            p * flag
+        with pytest.raises(TypeError, match="bool"):
+            flag * p
+
 
 class TestCalculus:
     def test_derive_cube(self):
