@@ -18,10 +18,11 @@ The curve of functionals realised by an actual integration base point a is
 The equation itself is ``operators._scaled_equation``, shared with the
 identity check: at weight 0 the residual of a multiplier-type truncation on
 (x^n, x^m) is minus the (n, m) equation of its image constants, so
-``first_rb_failure`` evaluates that equation too.  Over ``MPoly`` and
-``Poly`` coordinates it is one fused pass reduced once, the division of an
-elimination step by the weight of c_t included; rational and integer
-coordinates keep the loop of ring operators.
+``first_rb_failure`` evaluates that equation too.  Over ``MPoly``, ``Poly``
+and rational coordinates it is one fused pass reduced once, the division of
+an elimination step by the weight of c_t included; integer coordinates keep
+the loop of ring operators.  The symbolic curve entries, shifted by a head
+or not, are written straight from the integers of r (``_shifted_curve``).
 
 Membership rests on the paper's classification (PAPER.md): an injective
 weight-zero Rota-Baxter operator on Q[x] whose head lies on the curve of r
@@ -35,12 +36,13 @@ budget can still accept.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .mpoly import MPoly
-from .operators import AnalyticOp, TruncOp, TruncationTooSmall, _scaled_equation, derived_multiplier
-from .poly import Poly, RatLike, _Value, as_rat, common_root
+from .operators import TruncOp, TruncationTooSmall, _scaled_equation, derived_multiplier
+from .poly import Poly, RatLike, _normal, _Value, as_rat, common_root
 
 
 class IndexTooSmall(ValueError):
@@ -93,11 +95,31 @@ def curve_coords(r: Poly, a: RatLike, length: int) -> FunctionalCoords:
 
 
 def curve_coords_symbolic(r: Poly, length: int) -> list[Poly]:
-    """Entry i is -I(r*x^i) read as a polynomial in the base point; degree i + deg r + 1."""
+    """Entry i is -I(r*x^i) read as a polynomial in the base point; degree i + deg r + 1.
+
+    Written in one integer pass, as ``_shifted_curve`` at a head of zeros.
+    """
     _context(r)
-    if length < 1:
-        return []
-    return [-image for image in AnalyticOp(0, r).truncate(length - 1).images]
+    return _shifted_curve(r, [0] * length)
+
+
+def _shifted_curve(r: Poly, head: Sequence["Fraction | int"]) -> list[Poly]:
+    """Symbolic curve entry i minus head value i, for each value of the head, in one integer pass.
+
+    With r = sum r_j x^j / den, L = lcm(i+1 .. i+k+1) and v = p/q, entry i
+    minus v has the numerators -p*den*L, then i zeros, then
+    -r_j*(L/(i+j+1))*q for the powers a^(i+j+1), over den*L*q: one
+    reduction per entry, and no ``Poly`` built on the way.
+    """
+    rs, den, k = r.num, r.den, r.degree
+    entries = []
+    for i, v in enumerate(head):
+        lcm = math.lcm(*range(i + 1, i + k + 2))
+        q = v.denominator
+        num = [-v.numerator * den * lcm] + [0] * i
+        num += [-c * (lcm // (i + j + 1)) * q for j, c in enumerate(rs)]
+        entries.append(_normal(num, den * lcm * q))
+    return entries
 
 
 def functional_residual(fc: FunctionalCoords, f: Poly, g: Poly) -> Fraction:
@@ -210,15 +232,15 @@ def recover_base_point(r: Poly, head: Sequence[RatLike]) -> "Fraction | None":
     """The unique base point realising the head on the curve, or None.
 
     The base point is the common root of every symbolic entry shifted by
-    its head value; it is read off their gcd, which must be a power of one
-    linear factor.  The first deg r + 1 entries already pin at most one
-    point, as in ``operator_to_point``.
+    its head value, each written in one integer pass (``_shifted_curve``);
+    it is read off their gcd, which must be a power of one linear factor.
+    The first deg r + 1 entries already pin at most one point, as in
+    ``operator_to_point``.
     """
     k = _context(r)
     if len(head) < k + 1:
         raise ValueError(f"head must have at least {k + 1} entries, got {len(head)}")
-    entries = curve_coords_symbolic(r, len(head))
-    return common_root(*(e - Poly.constant(v) for e, v in zip(entries, head)))
+    return common_root(*_shifted_curve(r, [as_rat(v) for v in head]))
 
 
 def operator_from_coords(fc: FunctionalCoords, n: int) -> TruncOp:
@@ -227,5 +249,4 @@ def operator_from_coords(fc: FunctionalCoords, n: int) -> TruncOp:
         raise TruncationTooSmall(
             f"need {n + 1} coordinates to truncate at degree {n}, have {fc.length}"
         )
-    entries = curve_coords_symbolic(fc.r, n + 1)
-    return TruncOp(tuple(Poly.constant(c) - entry for c, entry in zip(fc.c, entries)))
+    return TruncOp(tuple(-entry for entry in _shifted_curve(fc.r, fc.c[: n + 1])))

@@ -139,15 +139,17 @@ def _scaled_equation(r: Poly, c, n: int, m: int, solve: bool = False):
     and the rest divided by minus its weight: the value is then the highest
     coordinate, c_(n+m+deg r+1), solved from the equation.
 
-    Works in any ring the coordinates live in.  When c_n c_m is a ``Poly``
-    (in the base point) or an ``MPoly``, ``_lincomb`` sums the weighted
+    Works in any ring the coordinates live in.  Integer coordinates (the
+    identity check) are tested first and keep the operator loop: an integer
+    sum has nothing to reduce.  Every other ring sums the weighted
     numerators over one lcm of their denominators and reduces once, where
-    the ring operators would copy the whole term map and reduce it once per
-    product and once per sum.  Integer coordinates (the identity check) and
-    rational ones (``satisfies_system``) keep the operator loop: an integer
-    sum has nothing to reduce, and each coordinate is one number.  The one
-    quadratic form of the package: ``first_rb_failure`` and every equation
-    of ``rbx.functionals`` evaluate it.
+    the ring operators would reduce once per product and once per sum: for
+    a ``Fraction`` (``satisfies_system``) into one ``Fraction``, divided by
+    minus the top weight when solving, and for a ``Poly`` (in the base
+    point) or an ``MPoly`` by ``_lincomb``, which also spares copying the
+    whole term map per operation.  The one quadratic form of the package:
+    ``first_rb_failure`` and every equation of ``rbx.functionals`` evaluate
+    it.
     """
     rs = r.num
     dens = [(i + n + 1) * (i + m + 1) for i in range(len(rs))]
@@ -156,13 +158,19 @@ def _scaled_equation(r: Poly, c, n: int, m: int, solve: bool = False):
     ws = [(2 * i + n + m + 2) * (lcm // d) * ri for i, (d, ri) in enumerate(zip(dens, rs))]
     value = c(n) * c(m)
     terms = enumerate(ws[:-1] if solve else ws, n + m + 1)
-    if isinstance(value, int) or isinstance(value, Fraction):
+    if isinstance(value, int):
         value *= s
         for j, w in terms:
             if w:
                 value += c(j) * w
         return (value * Fraction(-1, ws[-1]) if solve else value), s
     terms = [(w, c(j)) for j, w in terms if w]
+    if isinstance(value, Fraction):
+        den = math.lcm(value.denominator, *(v.denominator for _, v in terms))
+        acc = s * value.numerator * (den // value.denominator)
+        for w, v in terms:
+            acc += w * v.numerator * (den // v.denominator)
+        return Fraction(acc, -den * ws[-1] if solve else den), s
     return value._lincomb(s, terms, -ws[-1] if solve else 1), s
 
 

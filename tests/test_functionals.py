@@ -36,7 +36,7 @@ from rbx.operators import (
     first_rb_failure,
     is_rb_upto,
 )
-from rbx.poly import Poly
+from rbx.poly import Poly, common_root
 from random_values import random_poly, random_rat
 
 ONE = Poly.one()
@@ -663,6 +663,112 @@ class TestMembership:
             assert recover_base_point(r, head) == a
             assert recover_base_point(r, head[: k + 1]) == a
             assert recover_base_point(r, (head[0] + 1,) + head[1:]) is None
+
+
+# -- the curve entries against the construction through a truncation ------------
+
+
+def ref_curve_symbolic(r, length):
+    """The symbolic curve as the negated images of the truncation at base point 0."""
+    return [-image for image in AnalyticOp(0, r).truncate(length - 1).images] if length else []
+
+
+def ref_recover_base_point(r, head):
+    """The common root of the symbolic entries, each shifted by its head value."""
+    entries = ref_curve_symbolic(r, len(head))
+    return common_root(*(e - Poly.constant(v) for e, v in zip(entries, head)))
+
+
+class TestCurveEntries:
+    """The curve entries written in one integer pass, against the truncation they replace."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        tall_multipliers(),
+        tall_base_points,
+        st.integers(1, 4),
+        st.integers(0, 7),
+        st.one_of(st.just(0), st.just(1), tall_base_points.filter(bool)),
+    )
+    def test_recover_matches_the_truncation_construction(self, r, a, extra, j, bump):
+        head = list(curve_coords(r, a, r.degree + extra).c)
+        head[j % len(head)] += bump
+        got = recover_base_point(r, head)
+        assert got == ref_recover_base_point(r, head)
+        if not bump:
+            assert got == a
+
+    @settings(deadline=None, max_examples=60)
+    @given(tall_multipliers(), st.integers(0, 7))
+    def test_symbolic_matches_the_negated_truncation(self, r, length):
+        got = curve_coords_symbolic(r, length)
+        want = ref_curve_symbolic(r, length)
+        assert [(e.num, e.den) for e in got] == [(e.num, e.den) for e in want]
+
+
+class TestCurveEntriesRouting:
+    """No truncation and no polynomial sum builds the curve; no ``Fraction`` sum walks it."""
+
+    R = Poly.from_text("x^3 - 2*x + 1/3")
+    A = Fraction(-7, 3)
+
+    def test_curve_entries_need_no_truncation(self, monkeypatch):
+        def refuse(*args):
+            raise RingSum
+
+        r, a = self.R, self.A
+        want = [(e.num, e.den) for e in ref_curve_symbolic(r, 6)]
+        ext = curve_coords(r, a, 5).c
+        head = ext[:4]
+        bumped = (head[0], head[1] + 1) + head[2:]
+        monkeypatch.setattr(AnalyticOp, "truncate", refuse)
+        for name in ("__neg__", "__add__", "__sub__"):
+            monkeypatch.setattr(Poly, name, refuse)
+        with pytest.raises(RingSum):
+            X - X
+        assert [(e.num, e.den) for e in curve_coords_symbolic(r, 6)] == want
+        assert recover_base_point(r, ext) == a
+        assert recover_base_point(r, head) == a
+        assert recover_base_point(r, bumped) is None
+        assert vanishes_on_curve(r, 4, 5)
+        for budget in (None, 8):
+            assert satisfies_system(r, head, budget)
+            assert not satisfies_system(r, bumped, budget)
+
+    def test_rational_walk_sums_on_integers(self, monkeypatch):
+        # each equation of the finite walk is summed on integer numerators and
+        # reduced once, into one Fraction: no Fraction sum, and no Fraction
+        # times an integer weight
+        def refuse(*args):
+            raise RingSum
+
+        def no_weight(mul):
+            def checked(self, other):
+                if isinstance(other, int):
+                    raise RingSum
+                return mul(self, other)
+
+            return checked
+
+        r, small = self.R, Poly.from_text("x^4+3")
+        head = curve_coords(r, self.A, 4).c
+        bumped = (head[0], head[1] + 1) + head[2:]
+        off = curve_coords(small, 0, 5).c
+        off = (off[0] + 1,) + off[1:]
+        # the base-point decision off, so the walk alone answers for the curve head
+        monkeypatch.setattr(functionals, "recover_base_point", lambda r, head: None)
+        monkeypatch.setattr(Fraction, "__add__", refuse)
+        monkeypatch.setattr(Fraction, "__radd__", refuse)
+        monkeypatch.setattr(Fraction, "__mul__", no_weight(Fraction.__mul__))
+        monkeypatch.setattr(Fraction, "__rmul__", no_weight(Fraction.__rmul__))
+        with pytest.raises(RingSum):
+            head[0] + head[1]
+        with pytest.raises(RingSum):
+            head[0] * 2
+        assert satisfies_system(r, head, 8)
+        assert not satisfies_system(r, bumped, 8)
+        assert satisfies_system(small, off, 1)
+        assert not satisfies_system(small, off, 2)
 
 
 class TestOperatorRoundTrip:
