@@ -60,7 +60,6 @@ from .transitivity import (
     DuplicateOperators,
     LinearlyDependent,
     VerificationFailed,
-    make_independent,
     solve_distinct_tuple,
     solve_single,
     solve_tuple_independent,
@@ -82,5 +81,5 @@ __all__ = [
     "is_rb_upto", "odd_halving_example", "operator_to_point",
     "Poly", "PolyParseError", "as_rat",
     "BasePointMismatch", "DuplicateOperators", "LinearlyDependent", "VerificationFailed",
-    "make_independent", "solve_distinct_tuple", "solve_single", "solve_tuple_independent",
+    "solve_distinct_tuple", "solve_single", "solve_tuple_independent",
 ]

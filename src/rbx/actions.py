@@ -187,10 +187,15 @@ def generator_to_json(gen: Generator) -> dict:
 
 
 def generator_from_json(data: dict) -> Generator:
-    kind = data["type"]
+    if not isinstance(data, dict):
+        raise TypeError("expected a generator object")
+    kind = data.get("type")
     cls = _GENERATORS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown generator type {kind!r}")
+    for f in cls._fields:
+        if f not in data:
+            raise ValueError(f"generator {kind} needs field {f!r}")
     # a shear's direction s is the one Poly field
     return cls(*(Poly.from_text(data[f]) if f == "s" else as_rat(data[f]) for f in cls._fields))
 
@@ -200,4 +205,6 @@ def word_to_json(word: Sequence[Generator]) -> list[dict]:
 
 
 def word_from_json(data: Sequence[dict]) -> Word:
+    if not isinstance(data, list):
+        raise TypeError("expected an array of generator objects")
     return tuple(generator_from_json(item) for item in data)

@@ -9,10 +9,11 @@ the list of their images.
 The canonicalisation path builds no ``Poly`` per monomial: ``truncate``
 writes each image's integer numerators in one pass, and the multiplier is
 checked against each row shifted by n by integer cross-multiplication.
-The weight-zero identity check on a truncation of multiplier type reads
-only the image constants: per pair it evaluates one integer coordinate
-equation (``_scaled_equation``, which ``rbx.functionals`` shares).  Other
-weights and other truncations get the whole residual, looping over the
+The identity check picks its path from the truncation alone.  One of
+multiplier type is checked through its image constants: per pair it
+evaluates one integer coordinate equation (``_scaled_equation``, which
+``rbx.functionals`` shares), and at a weight other than 0 every pair in
+reach fails.  Other truncations get the whole residual, looping over the
 nonzero entries of integer rows over one common denominator.
 
 ``operator_to_point`` recovers the moduli point from a truncation in one
@@ -193,10 +194,9 @@ def _scaled_residuals(op: TruncOp, weight: Fraction, pairs):
     q*(M[n]*M[m] - sum_i M[n][i]*M[i+m] - sum_i M[m][i]*M[i+n]) - p*D*M[n+m].
     Each row M[i] is kept as its nonzero ``(index, numerator)`` pairs.
 
-    ``first_rb_failure`` uses it for the inputs the coordinate equation does
-    not cover: weights other than 0, and truncations that are not of
-    multiplier type (the odd-halving example), have the zero multiplier, or
-    hold a single image.
+    ``first_rb_failure`` uses it, at any weight, only for truncations that
+    are not of multiplier type: the odd-halving example, -weight times the
+    identity, the zero multiplier and a single image.
     """
     images = op.images
     den = math.lcm(*(p.den for p in images))
@@ -244,29 +244,30 @@ def _scaled_equations(op: TruncOp, r: Poly, pairs):
 def first_rb_failure(op: TruncOp, weight: RatLike, d: int) -> "tuple[int, int] | None":
     """First pair (n, m), n <= m <= d, where the identity fails; None if all hold.
 
-    At weight 0 a truncation of multiplier type (``derived_multiplier``
-    passes) is checked through its image constants alone.  Each image is
-    then R(x^i) = J(x^i) + c_i, with J(f) the antiderivative of r*f from 0
-    and c_i = R(x^i)(0).  J is itself a weight-zero Rota-Baxter operator
-    (integration by parts), so on (x^n, x^m) every non-constant term of the
-    residual cancels, and what is left is minus the (n, m) coordinate
-    equation c_n c_m + c(J(x^n) x^m + x^n J(x^m)): one integer per pair,
-    from the images the residual reads.  Image n has length n + k + 2 on
-    this path (k = deg r), so the pairs out of reach are the same.  Every
-    other input gets the residual vectors of ``_scaled_residuals``.
+    The path depends on the truncation alone.  When ``derived_multiplier``
+    passes, each image is R(x^i) = J(x^i) + c_i, with J(f) the antiderivative
+    of r*f from 0 and c_i = R(x^i)(0), and the check reads only the image
+    constants.  J is itself a weight-zero Rota-Baxter operator (integration
+    by parts), so on (x^n, x^m) the residual is -E(n, m) - weight*R(x^(n+m)),
+    E(n, m) = c_n c_m + c(J(x^n) x^m + x^n J(x^m)) being the (n, m) coordinate
+    equation: one integer per pair.  At a weight other than 0 every pair in
+    reach fails: E(n, m) is a constant and R(x^(n+m)) has degree
+    n + m + k + 1 >= 1 (k = deg r), so the residual is never zero.  Image n
+    has length n + k + 2 on this path, so the pairs out of reach are the
+    same.  Every other truncation gets the residual vectors of
+    ``_scaled_residuals``.
     """
     if d < 0:
         raise ValueError(f"identity check degree must be non-negative, got {d}")
     weight = as_rat(weight)
     pairs = [(n, m) for n in range(d + 1) for m in range(n, d + 1)]
-    defects = None
-    if weight == 0:
-        try:
-            defects = _scaled_equations(op, derived_multiplier(op), pairs)
-        except (TruncationTooSmall, NotMultiplierType, ZeroMultiplier):
-            pass
-    if defects is None:
+    try:
+        defects = _scaled_equations(op, derived_multiplier(op), pairs)
+    except (TruncationTooSmall, NotMultiplierType, ZeroMultiplier):
         defects = map(any, _scaled_residuals(op, weight, pairs))
+    else:
+        if weight:
+            defects = (True for _ in defects)  # each pair still checks its reach
     for pair, defect in zip(pairs, defects):
         if defect:
             return pair

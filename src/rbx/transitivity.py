@@ -4,20 +4,22 @@ Each public solver returns a word of generators and verifies it once, by one
 exact application, before returning; a wrong word is a bug, not a result,
 and raises :class:`VerificationFailed` (also under ``python -O``).  The
 private builders ``_between`` and ``_independent`` keep only the checks that
-need no replay, and no public solver calls another.  The staging is private
-as well.  Its device is ``_DiagonalTuple``: an operator tuple whose
-multipliers hit prescribed nonzero values on a diagonal evaluation pattern
-(r_i(b_j) = c_i when i = j, else 0), which makes per-member fiber moves
-independent of each other.
+need no replay, their callers check the shared base point, and no public
+solver calls another.  The staging is private as well.  Its device is
+``_DiagonalTuple``: an operator tuple whose multipliers hit prescribed
+nonzero values on a diagonal evaluation pattern (r_i(b_j) = c_i when i = j,
+else 0), which makes per-member fiber moves independent of each other.
 A tuple word diagonalises both tuples with one shear per pivot row, each by
 one elimination that also picks its points, the destination's avoiding the
 source's.  It bridges the source's diagonal tuple onto the destination's
 pattern, finishes with one fiber move per member there and undoes the
 destination's diagonalisation.  A move that changes nothing is left out, so
-a word between independent m-tuples has at most 4m generators.  A single operator is the one-member tuple: after a translation
-of the base point its word is one bridge move and one fiber move.  A distinct
-tuple is first made independent by one squared shear per missing rank, so a
-word between distinct m-tuples has at most 8m - 4.
+a word between independent m-tuples has at most 4m generators.  A single
+operator is the one-member tuple: after a translation of the base point its
+word is one bridge move and one fiber move.  A distinct tuple is first made
+independent by one squared shear per missing rank, a step private to
+:func:`solve_distinct_tuple`, so a word between distinct m-tuples has at
+most 8m - 4.
 
 Every evaluation and shear point is the first that works in one integer
 scan, 0, 1, -1, 2, -2, ..., so a fixed input yields a fixed word; a point
@@ -165,7 +167,8 @@ def _diagonalize_tuple(
     Each row's multiples at the pivot points, in scan order, interpolate one
     shear at its pivot point (shears at one point keep r there, so they add),
     left out if all are zero.  Returns the word, at most m shears, and the
-    diagonal tuple, base points in row order.
+    diagonal tuple, base points in row order.  Its caller has checked the
+    shared base point, and the closing ``_DiagonalTuple`` checks it again.
 
     Final row k holds den(r_k) * prev / g[j] times the column-reduced entry
     (k, j), prev the pivot before its own, g[j] = 1 until column j is a pivot
@@ -174,7 +177,6 @@ def _diagonalize_tuple(
     is -entry * g[j] / lead, and its diagonal value lead / (den(r_k) * prev),
     which later shears leave alone.
     """
-    _shared_base(ops)
     width = max(len(op.r.num) for op in ops)
     points = [b for b in _scan(width + len(avoid)) if b not in avoid][:width]
     rows = [[op.r._at(b)[0] for b in points] for op in ops]  # over den(r), as b is an integer
@@ -325,9 +327,13 @@ def _rank_step(rs: Sequence[Poly], rank: int) -> Word:
 
 
 def _independent(ops: Sequence[AnalyticOp]) -> tuple[Word, list[AnalyticOp]]:
-    """Unverified :func:`make_independent`: the word and the images of ``ops``."""
+    """A word of at most 2(m - rank) generators making distinct ``ops`` independent, and the images.
+
+    One squared shear per missing rank, after a plain shear only if degenerate,
+    each rank-checked.  The step of :func:`solve_distinct_tuple`, which checks
+    the shared base point first and replays its whole word at the end.
+    """
     m = len(ops)
-    _shared_base(ops)
     if len(set(ops)) != m:
         raise DuplicateOperators("tuple members must be pairwise distinct")
     word: Word = ()
@@ -338,16 +344,6 @@ def _independent(ops: Sequence[AnalyticOp]) -> tuple[Word, list[AnalyticOp]]:
         cur = apply_word_tuple(step, cur)
         _verify(_rank([op.r for op in cur]) == rank + 1, "a rank step did not raise the rank")
     return word, cur
-
-
-def make_independent(ops: Sequence[AnalyticOp]) -> Word:
-    """Word of at most 2(m - rank) generators making a distinct tuple independent.
-
-    One squared shear per missing rank, each rank-checked, after a plain shear if degenerate.
-    """
-    word, images = _independent(ops)
-    _verify(apply_word_tuple(word, ops) == images, "independence word misses its images")
-    return word
 
 
 def solve_distinct_tuple(

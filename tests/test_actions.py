@@ -289,10 +289,22 @@ class TestWordJson:
             generator_from_json({"type": kind, "b": "0", "s": "x"})
 
     def test_missing_field(self):
-        with pytest.raises(KeyError, match="'s'"):
+        with pytest.raises(ValueError, match=re.escape("generator HB2 needs field 's'")):
             generator_from_json({"type": "HB2", "b": "0"})
-        with pytest.raises(KeyError, match="'mu'"):
+        with pytest.raises(ValueError, match=re.escape("generator GM needs field 'mu'")):
             generator_from_json({"type": "GM", "nu": "1"})
+        with pytest.raises(ValueError, match=re.escape("generator HB needs field 'b'")):
+            word_from_json([{"type": "HB", "s": "x"}])
+
+    @pytest.mark.parametrize("data", ["HB", {"type": "GA", "nu": "1"}, None, 3])
+    def test_word_is_not_an_array(self, data):
+        with pytest.raises(TypeError, match="^expected an array of generator objects$"):
+            word_from_json(data)
+
+    @pytest.mark.parametrize("item", [1, "HB", [{"type": "GA", "nu": "1"}], None])
+    def test_generator_is_not_an_object(self, item):
+        with pytest.raises(TypeError, match="^expected a generator object$"):
+            word_from_json([{"type": "GA", "nu": "1"}, item])
 
     def test_not_a_generator(self):
         with pytest.raises(TypeError, match=re.escape("not a generator: 'HB'")):

@@ -543,6 +543,22 @@ class TestBadInputFiles:
                 label = "bad operator payload"
             assert err.startswith(f"error: {bad}: {label}: ") and err.count(bad) == 1
 
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ('"HB"', "expected an array of generator objects"),
+            ({"type": "GA", "nu": "1"}, "expected an array of generator objects"),
+            ([1], "expected a generator object"),
+            ([{"type": "HB", "s": "x"}], "generator HB needs field 'b'"),
+        ],
+        ids=["string", "object", "not-an-object", "missing-field"],
+    )
+    def test_word_payload_says_what_it_expects(self, tmp_path, capsys, payload, message):
+        word = write(tmp_path, "word.json", payload)
+        op = write(tmp_path, "op.json", {"a": "0", "r": "x"})
+        code, out, err = run(capsys, ["act", "--word", word, "--op", op])
+        assert (code, out, err) == (2, "", f"error: {word}: bad word payload: {message}\n")
+
 
 class TestSelftestCommand:
     def test_reports_all_criteria(self, capsys):

@@ -100,6 +100,13 @@ class TestResidual:
         trunc = AnalyticOp(0, Poly.one()).truncate(8)
         assert not is_rb_upto(trunc, 1, 2)
 
+    def test_minus_weight_times_the_identity(self):
+        # R = -weight * id is not of multiplier type and satisfies the identity
+        # of its own weight: weight^2 (1 - 2 + 1) x^(n+m) = 0
+        op = TruncOp(tuple(Poly.monomial(i, Fraction(3, 2)) for i in range(7)))
+        assert first_rb_failure(op, Fraction(-3, 2), 3) is None
+        assert first_rb_failure(op, 1, 3) == ref_first_failure(op, 1, 3) == (0, 0)
+
     def test_truncation_guard(self):
         trunc = AnalyticOp(0, Poly.one()).truncate(3)
         with pytest.raises(TruncationTooSmall):
@@ -194,9 +201,9 @@ def reach_truncations(draw):
 
     The check at degree d reads the images up to 2d + k + 1 (k the multiplier
     degree); the truncation stops between two below and one above that.  A
-    constant bump keeps the rows of multiplier type, so a weight-zero check
-    reads the coordinate equation; a bump of degree 1 or more breaks them and
-    the check falls back to residual vectors.
+    constant bump keeps the rows of multiplier type, so the check reads the
+    coordinate equation; a bump of degree 1 or more breaks them and the check
+    falls back to residual vectors.
     """
     k, d, bits = draw(st.integers(0, 3)), draw(st.integers(0, 6)), draw(st.integers(1, 64))
     r = Poly(tuple(tall_rat(draw, bits) for _ in range(k)) + (tall_rat(draw, bits) or Fraction(1),))
@@ -240,10 +247,10 @@ class TestResidualMatchesReference:
         assert outcome(residual, op, weight, n, m) == outcome(ref_rb_residual, op, weight, n, m)
 
     @settings(deadline=None, max_examples=300)
-    @given(reach_truncations())
-    def test_weight_zero_first_failure_around_the_reach(self, case):
+    @given(reach_truncations(), st.just(0) | weights)
+    def test_first_failure_around_the_reach(self, case, weight):
         op, d = case
-        assert outcome(first_rb_failure, op, 0, d) == outcome(ref_first_failure, op, 0, d)
+        assert outcome(first_rb_failure, op, weight, d) == outcome(ref_first_failure, op, weight, d)
 
     def test_later_failing_pair_and_reach_messages(self):
         # plain integration with R(x^2) bumped by 1: (0, 0) holds and (0, 1),
@@ -267,8 +274,13 @@ class ResidualsBuilt(Exception):
     pass
 
 
+TALL = AnalyticOp(
+    Fraction(123456789, 987654321), Poly.from_text("x^3 + 12345678901234567890*x - 7/11")
+)
+
+
 class TestIdentityCheckRouting:
-    """At weight 0 a multiplier-type truncation is checked without residual vectors."""
+    """A multiplier-type truncation is checked without residual vectors, at every weight."""
 
     @pytest.fixture(autouse=True)
     def refuse_residuals(self, monkeypatch):
@@ -294,11 +306,29 @@ class TestIdentityCheckRouting:
         "op,weight",
         [
             (AnalyticOp(Fraction(-7, 3), Poly((1, 0, 2))).truncate(12), 1),
+            (AnalyticOp(Fraction(-7, 3), Poly((1, 0, 2))).truncate(12), Fraction(-3, 2)),
+            (TALL.truncate(40), 1),
+        ],
+        ids=["weight-1", "weight-minus-three-halves", "tall"],
+    )
+    def test_other_weights_fail_in_reach(self, op, weight):
+        # -E(n, m) - weight * R(x^(n+m)) is never zero: every pair in reach
+        # fails, the first of them (0, 0); a short truncation is out of reach
+        assert first_rb_failure(op, weight, 3) == ref_first_failure(op, weight, 3) == (0, 0)
+        short = TruncOp(op.images[: len(op.images[0].num) - 1])
+        assert outcome(first_rb_failure, short, weight, 0) == outcome(
+            ref_first_failure, short, weight, 0
+        ) == (TruncationTooSmall, f"inner images for pair (0,0) exceed truncation {short.n_max}")
+
+    @pytest.mark.parametrize(
+        "op,weight",
+        [
             (odd_halving_example(12), 0),
             (TruncOp((Poly.constant(3), Poly.zero(), Poly.constant(Fraction(-1, 2)))), 0),
             (TruncOp((Poly.x(),)), 0),
+            (TruncOp(tuple(Poly.monomial(i, Fraction(3, 2)) for i in range(7))), Fraction(-3, 2)),
         ],
-        ids=["weight-1", "odd-halving", "all-constant", "one-image"],
+        ids=["odd-halving", "all-constant", "one-image", "minus-weight-times-id"],
     )
     def test_other_inputs_build_residual_vectors(self, op, weight):
         with pytest.raises(ResidualsBuilt):

@@ -28,7 +28,7 @@ from rbx.transitivity import (
     _DiagonalTuple,
     _diagonalize_tuple,
     _fiber_move,
-    make_independent,
+    _independent,
     solve_distinct_tuple,
     solve_single,
     solve_tuple_independent,
@@ -144,10 +144,10 @@ class TestSolveSingle:
             "     lambda: transitivity.solve_single(monos[0], AnalyticOp(1, Poly((2, 0, 1))))),",
             "    ('independent', 'inverse_word', lambda word: (),",
             "     lambda: transitivity.solve_tuple_independent([consts[0], monos[0]], monos)),",
-            "    ('make_independent', 'ShearSquared', lambda b, s: actions.ShearSquared(b, Poly.zero()),",
-            "     lambda: transitivity.make_independent(consts)),",
+            "    ('rank-step', 'ShearSquared', lambda b, s: actions.ShearSquared(b, Poly.zero()),",
+            "     lambda: transitivity.solve_distinct_tuple(consts, monos)),",
             "    ('fallback', 'Shear', lambda b, s: actions.Shear(b, Poly.zero()),",
-            "     lambda: transitivity.make_independent(degenerate)),",
+            "     lambda: transitivity.solve_distinct_tuple(degenerate, degenerate)),",
             "    ('distinct', 'inverse_word', lambda word: (),",
             "     lambda: transitivity.solve_distinct_tuple(consts, monos)),",
             "]",
@@ -169,7 +169,7 @@ class TestSolveSingle:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             f"optimize 1 raised {case}"
-            for case in ("single", "independent", "make_independent", "fallback", "distinct")
+            for case in ("single", "independent", "rank-step", "fallback", "distinct")
         ]
 
 
@@ -607,14 +607,23 @@ class TestSolveTupleIndependent:
             assert not set(src_points) & set(dst_points)
 
 
+def independent(ops):
+    """The word of ``_independent``, once its images are checked against the replay."""
+    word, images = _independent(ops)
+    assert apply_word_tuple(word, ops) == images
+    return word
+
+
 class TestMakeIndependent:
+    """``_independent``, the step of ``solve_distinct_tuple`` that makes a tuple independent."""
+
     def test_already_independent(self):
         ops = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.x())]
-        assert make_independent(ops) == ()
+        assert independent(ops) == ()
 
     def test_two_dependent_constants(self):
         ops = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.constant(2))]
-        word = make_independent(ops)
+        word = independent(ops)
         moved = apply_word_tuple(word, ops)
         assert _rank(moved) == 2
 
@@ -624,25 +633,25 @@ class TestMakeIndependent:
             AnalyticOp(0, Poly.x()),
             AnalyticOp(0, Poly((1, 1))),
         ]
-        word = make_independent(ops)
+        word = independent(ops)
         assert _rank(apply_word_tuple(word, ops)) == 3
 
     def test_duplicates_rejected(self):
         op = AnalyticOp(0, Poly.one())
         with pytest.raises(DuplicateOperators):
-            make_independent([op, op])
+            independent([op, op])
 
     def test_dependent_no_constant_term(self):
         # last member x + x^2: q = x^2 + x^4 - (x + x^2)^2 = -2x^3 vanishes at 0,
         # so the squared shear along x^3 - 1 at 1 raises the rank
         ops = [AnalyticOp(0, r) for r in (Poly.one(), Poly.x(), Poly.monomial(2), Poly((0, 1, 1)))]
-        assert make_independent(ops) == (ShearSquared(1, Poly((-1, 0, 0, 1))),)
+        assert independent(ops) == (ShearSquared(1, Poly((-1, 0, 0, 1))),)
 
     def test_probes_at_zero_and_one_degenerate(self):
         # last member 2x - x^2: q = 2x^2 - x^4 - (2x - x^2)^2 = -2x^2 (1 - x)^2
         # vanishes at 0 and 1, so the scan goes on to -1
         ops = [AnalyticOp(0, r) for r in (Poly.one(), Poly.x(), Poly.monomial(2), Poly((0, 2, -1)))]
-        assert make_independent(ops) == (ShearSquared(-1, Poly((1, 0, 0, 1))),)
+        assert independent(ops) == (ShearSquared(-1, Poly((1, 0, 0, 1))),)
 
     def test_scan_passes_minus_one(self):
         # last member 3x - 2x^3: q = -6x^2 (1 - x^2)^2 vanishes at 0, 1 and -1,
@@ -651,7 +660,7 @@ class TestMakeIndependent:
             AnalyticOp(0, r)
             for r in (Poly.one(), Poly.x(), Poly.monomial(2), Poly.monomial(3), Poly((0, 3, 0, -2)))
         ]
-        assert make_independent(ops) == (ShearSquared(2, Poly((-16, 0, 0, 0, 1))),)
+        assert independent(ops) == (ShearSquared(2, Poly((-16, 0, 0, 0, 1))),)
 
     def test_random_dependent_tuples(self):
         rng = random.Random(89)
@@ -665,7 +674,7 @@ class TestMakeIndependent:
                 ops[-1] = AnalyticOp(a, ops[0].r * scale)
                 if len(set(ops)) < m:
                     continue
-                word = make_independent(ops)
+                word = independent(ops)
                 assert word == ref_independence_word(ops)
                 assert _rank(apply_word_tuple(word, ops)) == m
                 assert all(isinstance(gen, ShearSquared) for gen in word)
@@ -687,7 +696,7 @@ class TestMakeIndependent:
         assume(all(rs) and len(set(rs)) == m)
         a = data.draw(st.integers(-2, 2))
         ops = [AnalyticOp(a, r) for r in rs]
-        word = make_independent(ops)
+        word = independent(ops)
         assert word == ref_independence_word(ops)
         if not any(type(gen) is Shear for gen in word):
             assert len(word) == m - _rank(ops)
@@ -701,7 +710,7 @@ class TestMakeIndependent:
             for d in (3, 4):
                 gen = ShearSquared(b, Poly.monomial(d) - Poly.constant(b**d))
                 assert _rank(apply_word_tuple([gen], ops)) == 3
-        word = make_independent(ops)
+        word = independent(ops)
         assert [type(gen) for gen in word] == [Shear, ShearSquared]
         assert word == ref_independence_word(ops)
         assert _rank(apply_word_tuple(word, ops)) == 4
@@ -711,7 +720,7 @@ class TestMakeIndependent:
         monkeypatch.setattr(transitivity, "_squared_shear", lambda rs, rank: None)
         ops = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.constant(2))]
         with pytest.raises(VerificationFailed, match="no shear raises the rank"):
-            make_independent(ops)
+            independent(ops)
 
 
 class TestSolveDistinct:
@@ -756,7 +765,7 @@ class TestWordLength:
         golden_src = [AnalyticOp(a, r) for r in (Poly((1, 1)), Poly((2, 2)), Poly.monomial(2))]
         golden_dst = [AnalyticOp(a, r) for r in (Poly.one(), Poly.x(), Poly((-1, 0, Fraction(5, 2))))]
         words = [
-            make_independent(constants),
+            independent(constants),
             solve_distinct_tuple(constants, constants),
             solve_distinct_tuple(golden_src, golden_dst),
             solve_tuple_independent([constants[0]], [constants[0]]),
@@ -767,7 +776,7 @@ class TestWordLength:
             words.append(solve_tuple_independent(src, dst))
             dependent = _random_distinct(rng, m, a)
             dependent[-1] = AnalyticOp(a, dependent[0].r * 3)
-            words.append(make_independent(dependent))
+            words.append(independent(dependent))
             words.append(solve_distinct_tuple(dependent, _random_distinct(rng, m, a)))
         for word in words:
             assert not [gen for gen in word if isinstance(gen, Shear) and not gen.s]
@@ -792,7 +801,7 @@ class TestWordLength:
                 if m > 1:
                     src[-1] = AnalyticOp(a, src[0].r * 3)
                 dst = _random_distinct(rng, m, a)
-                assert len(make_independent(src)) <= 2 * (m - _rank(src))
+                assert len(independent(src)) <= 2 * (m - _rank(src))
                 assert len(solve_distinct_tuple(src, dst)) <= 8 * m - 4
 
     def test_distinct_cap_is_checked(self, monkeypatch):
@@ -870,7 +879,7 @@ def test_points_are_ints_until_they_become_generator_fields(monkeypatch):
     monkeypatch.setattr(transitivity, "_diagonalize_tuple", recording)
     rng = random.Random(127)
     ops = [AnalyticOp(random_rat(rng), random_poly(rng, 5)) for _ in range(2)]
-    words = [solve_single(*ops), make_independent([AnalyticOp(0, r) for r in DEGENERATE])]
+    words = [solve_single(*ops), independent([AnalyticOp(0, r) for r in DEGENERATE])]
     for m in (2, 3):
         a = random_rat(rng)
         words.append(solve_tuple_independent(random_independent(rng, m, a), random_independent(rng, m, a)))
