@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
-from .operators import AnalyticOp
+from .operators import AnalyticOp, _json_fields
 from .poly import Poly, RatLike, _normal, _Value, as_rat, rat_text
 
 
@@ -193,11 +193,9 @@ def generator_from_json(data: dict) -> Generator:
     cls = _GENERATORS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown generator type {kind!r}")
-    for f in cls._fields:
-        if f not in data:
-            raise ValueError(f"generator {kind} needs field {f!r}")
+    values = _json_fields(data, cls._fields, f"generator {kind}")
     # a shear's direction s is the one Poly field
-    return cls(*(Poly.from_text(data[f]) if f == "s" else as_rat(data[f]) for f in cls._fields))
+    return cls(*(Poly.from_text(v) if f == "s" else as_rat(v) for f, v in zip(cls._fields, values)))
 
 
 def word_to_json(word: Sequence[Generator]) -> list[dict]:

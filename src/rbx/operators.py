@@ -52,6 +52,14 @@ class Inconsistent(ValueError):
     """Round-trip verification of the recovered operator failed."""
 
 
+def _json_fields(data: dict, names: tuple, what: str) -> list:
+    """The values of ``names`` in a JSON object; a missing one is a ValueError naming it."""
+    for f in names:
+        if f not in data:
+            raise ValueError(f"{what} needs field {f!r}")
+    return [data[f] for f in names]
+
+
 class AnalyticOp(_Value):
     """Moduli point (a, r): multiply by nonzero r, then integrate, vanishing at a."""
 
@@ -97,7 +105,8 @@ class AnalyticOp(_Value):
 
     @classmethod
     def from_json(cls, data: dict) -> "AnalyticOp":
-        return cls(as_rat(data["a"]), Poly.from_text(data["r"]))
+        a, r = _json_fields(data, ("a", "r"), "operator object")
+        return cls(as_rat(a), Poly.from_text(r))
 
 
 class TruncOp(_Value):
@@ -119,7 +128,7 @@ class TruncOp(_Value):
 
     @classmethod
     def from_json(cls, data: dict) -> "TruncOp":
-        n, texts = data["N"], data["images"]
+        n, texts = _json_fields(data, ("N", "images"), "truncation object")
         if type(n) is not int or not isinstance(texts, list):
             raise TypeError("expected an integer N and an array of image texts")
         images = tuple(Poly.from_text(t) for t in texts)

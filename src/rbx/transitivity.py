@@ -2,10 +2,13 @@
 
 Each public solver returns a word of generators and verifies it once, by one
 exact application, before returning; a wrong word is a bug, not a result,
-and raises :class:`VerificationFailed` (also under ``python -O``).  The
-private builders ``_between`` and ``_independent`` keep only the checks that
-need no replay, their callers check the shared base point, and no public
-solver calls another.  The staging is private as well.  Its device is
+and raises :class:`VerificationFailed` (also under ``python -O``).  So the
+private builders check nothing that the replay checks: they do not re-check
+the values they build themselves.  What stays is every check on caller
+input (each solver's length check and one shared base point per call,
+:class:`DuplicateOperators` and :class:`LinearlyDependent`), the per-level
+rank check of the independence step and the length caps; no public solver
+calls another.  The staging is private as well.  Its device is
 ``_DiagonalTuple``: an operator tuple whose multipliers hit prescribed
 nonzero values on a diagonal evaluation pattern (r_i(b_j) = c_i when i = j,
 else 0), which makes per-member fiber moves independent of each other.
@@ -51,20 +54,8 @@ class BasePointMismatch(ValueError):
     """Operators do not share the integration base point the construction needs."""
 
 
-class ZeroFiberValue(ValueError):
-    """A fiber move would divide by a vanishing multiplier value."""
-
-
-class FiberMismatch(ValueError):
-    """Source and destination sit in different fibers of the evaluation map."""
-
-
 class LinearlyDependent(ValueError):
     """The multiplier tuple has no full rank, but the construction needs it."""
-
-
-class BasePointCollision(ValueError):
-    """Evaluation point sets that must be disjoint are not."""
 
 
 class DuplicateOperators(ValueError):
@@ -81,7 +72,11 @@ def _verify(ok: bool, what: str) -> None:
 
 
 class _DiagonalTuple(_Value):
-    """Operator tuple with diagonal evaluation pattern r_i(b_j) = c_i * delta_ij."""
+    """Operator tuple with diagonal evaluation pattern r_i(b_j) = c_i * delta_ij.
+
+    A record of the staging: its builders make the pattern hold, and the
+    solver's replay checks the word built on it, so it checks nothing itself.
+    """
 
     __slots__ = ("base_points", "values", "ops")
 
@@ -89,31 +84,13 @@ class _DiagonalTuple(_Value):
         object.__setattr__(self, "base_points", base_points)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "ops", ops)
-        m = len(self.ops)
-        if len(self.base_points) != m or len(self.values) != m:
-            raise ValueError("base points, values and operators must have equal length")
-        if len(set(self.base_points)) != m:
-            raise ValueError("base points must be pairwise distinct")
-        if any(c == 0 for c in self.values):
-            raise ZeroFiberValue("diagonal values must be nonzero")
-        _shared_base(self.ops)
-        for i, op in enumerate(self.ops):
-            for j, b in enumerate(self.base_points):
-                e = self.values[i] if i == j else 0
-                n, d = op.r._at(b)
-                if n * e.denominator != e.numerator * d:
-                    raise ValueError(
-                        f"member {i} evaluates to {op.r(b)} at point {j}, expected {e}"
-                    )
 
 
-def _shared_base(ops: Sequence[AnalyticOp]) -> Fraction:
+def _shared_base(ops: Sequence[AnalyticOp]) -> None:
     if not ops:
         raise ValueError("empty operator tuple")
-    a = ops[0].a
-    if any(op.a != a for op in ops):
+    if any(op.a != ops[0].a for op in ops):
         raise BasePointMismatch("operators must share one integration base point")
-    return a
 
 
 def _rank(rs: Sequence[Poly]) -> int:
@@ -128,15 +105,14 @@ def _scan(n: int) -> list[int]:
 
 
 def _fiber_move(src: AnalyticOp, dst: AnalyticOp, b: int) -> Shear:
-    """The shear at b carrying src to dst within one fiber of the evaluation map."""
-    if src.a != dst.a:
-        raise BasePointMismatch("fiber moves keep the integration base point fixed")
-    (n1, d1), (n2, d2) = src.r._at(b), dst.r._at(b)
-    if n1 * d2 != n2 * d1:
-        raise FiberMismatch(f"multiplier values at {b} differ: {src.r(b)} vs {dst.r(b)}")
-    if not n1:
-        raise ZeroFiberValue(f"multiplier value at {b} must be nonzero")
-    return Shear(b, (dst.r - src.r) * Fraction(d1, n1))
+    """The shear at b carrying src to dst within one fiber of the evaluation map.
+
+    src and dst share the base point and agree at b, and src.r(b) is nonzero:
+    every move sits at a point of a diagonal tuple, whose value there is a
+    ratio of nonzero pivots.
+    """
+    n, d = src.r._at(b)
+    return Shear(b, (dst.r - src.r) * Fraction(d, n))
 
 
 def solve_single(op1: AnalyticOp, op2: AnalyticOp) -> Word:
@@ -168,7 +144,7 @@ def _diagonalize_tuple(
     shear at its pivot point (shears at one point keep r there, so they add),
     left out if all are zero.  Returns the word, at most m shears, and the
     diagonal tuple, base points in row order.  Its caller has checked the
-    shared base point, and the closing ``_DiagonalTuple`` checks it again.
+    shared base point; the pattern holds by construction and is not re-checked.
 
     Final row k holds den(r_k) * prev / g[j] times the column-reduced entry
     (k, j), prev the pivot before its own, g[j] = 1 until column j is a pivot
@@ -213,12 +189,9 @@ def _bridge_tuple(
     Fiber moves at the source points walk there one member at a time, each
     fixing the others, which vanish there, along N * L_k / c_k, of degree at
     most 2m - 1 whatever the members' degrees; no-op moves are left out.
+    The destination pattern is that of ``_diagonalize_tuple(dst, avoid)``:
+    m points outside the source's and nonzero values, so nothing is re-checked.
     """
-    m = len(src.ops)
-    if len(dst_points) != m or len(dst_values) != m:
-        raise ValueError("destination pattern must match the tuple length")
-    if set(dst_points) & set(src.base_points):
-        raise BasePointCollision("destination points must avoid the source points")
     node = math.prod((Poly((-p, 1)) for p in src.base_points), start=Poly.one())
     nodes = [node._at(q) for q in dst_points]
     interpolate = _nodes(dst_points)
@@ -252,17 +225,14 @@ def _between(src: Sequence[AnalyticOp], dst: Sequence[AnalyticOp]) -> Word:
 
     One elimination per side, in ``_diagonalize_tuple``, picks its points and
     decides its independence; the destination's points avoid the source's.
+    Its callers check the tuple lengths and the shared base point.
     """
-    m = len(src)
-    if len(dst) != m:
-        raise ValueError("tuples must have equal length")
-    _shared_base(list(src) + list(dst))
     word_src, diag = _diagonalize_tuple(src)
     word_dst, diag_dst = _diagonalize_tuple(dst, diag.base_points)
     word_onto, diag = _bridge_tuple(diag, diag_dst.base_points, diag_dst.values)
     within = _fiber_moves(diag.ops, diag_dst.ops, diag.base_points)
     word = word_src + word_onto + within + inverse_word(word_dst)
-    _verify(len(word) <= 4 * m, "independent-tuple word exceeds its length cap")
+    _verify(len(word) <= 4 * len(src), "independent-tuple word exceeds its length cap")
     return word
 
 
@@ -278,6 +248,9 @@ def solve_tuple_independent(
     That is at most 4m generators: one shear per row to diagonalise, no
     no-op moves.
     """
+    if len(dst) != len(src):
+        raise ValueError("tuples must have equal length")
+    _shared_base(list(src) + list(dst))
     word = _between(src, dst)
     _verify(apply_word_tuple(word, src) == list(dst), "independent-tuple word misses its target")
     return word

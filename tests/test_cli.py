@@ -392,6 +392,13 @@ class TestTransit:
         assert code == 0
         assert json.loads(out)["verified"] is True
 
+    @pytest.mark.parametrize("mode", ["independent", "distinct"])
+    def test_mixed_base_points(self, tmp_path, capsys, mode):
+        src = write(tmp_path, "src.json", [{"a": "0", "r": "1"}, {"a": "1", "r": "x"}])
+        dst = write(tmp_path, "dst.json", [{"a": "0", "r": "x + 1"}, {"a": "0", "r": "x - 1"}])
+        code, out, err = run(capsys, ["transit", "--src", src, "--dst", dst, "--mode", mode])
+        assert (code, out, err) == (2, "", "error: operators must share one integration base point\n")
+
     def test_dependent_tuple_in_independent_mode(self, tmp_path, capsys):
         src = write(tmp_path, "src.json", [{"a": "0", "r": "x"}, {"a": "0", "r": "2*x"}])
         dst = write(tmp_path, "dst.json", [{"a": "0", "r": "1"}, {"a": "0", "r": "x"}])
@@ -558,6 +565,20 @@ class TestBadInputFiles:
         op = write(tmp_path, "op.json", {"a": "0", "r": "x"})
         code, out, err = run(capsys, ["act", "--word", word, "--op", op])
         assert (code, out, err) == (2, "", f"error: {word}: bad word payload: {message}\n")
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"r": "x"}, "operator object needs field 'a'"),
+            ({"a": "0"}, "operator object needs field 'r'"),
+            ({"images": ["x"]}, "truncation object needs field 'N'"),
+        ],
+        ids=["no-a", "no-r", "no-N"],
+    )
+    def test_operator_payload_names_the_missing_field(self, tmp_path, capsys, payload, message):
+        op = write(tmp_path, "op.json", payload)
+        code, out, err = run(capsys, ["canon", op])
+        assert (code, out, err) == (2, "", f"error: {op}: bad operator payload: {message}\n")
 
 
 class TestSelftestCommand:

@@ -456,6 +456,22 @@ class TestCanonicalization:
         trunc = op.truncate(4)
         assert TruncOp.from_json(trunc.to_json()) == trunc
 
+    @pytest.mark.parametrize(
+        "cls,data,message",
+        [
+            (AnalyticOp, {"r": "x"}, "operator object needs field 'a'"),
+            (AnalyticOp, {"a": "0"}, "operator object needs field 'r'"),
+            (AnalyticOp, {}, "operator object needs field 'a'"),
+            (TruncOp, {"images": ["x"]}, "truncation object needs field 'N'"),
+            (TruncOp, {"N": 0}, "truncation object needs field 'images'"),
+        ],
+    )
+    def test_json_missing_field_is_named(self, cls, data, message):
+        # a ValueError that names the field, not a bare KeyError
+        with pytest.raises(ValueError) as excinfo:
+            cls.from_json(data)
+        assert excinfo.value.args == (message,)
+
 
 # -- reference: canonicalisation as before, Poly.derive rows and a second truncation --
 

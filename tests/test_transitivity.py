@@ -16,13 +16,10 @@ from rbx.actions import Dilate, Shear, ShearSquared, Translate, apply_word, appl
 from rbx.operators import AnalyticOp
 from rbx.poly import DuplicateAbscissa, Poly
 from rbx.transitivity import (
-    BasePointCollision,
     BasePointMismatch,
     DuplicateOperators,
-    FiberMismatch,
     LinearlyDependent,
     VerificationFailed,
-    ZeroFiberValue,
     _between,
     _bridge_tuple,
     _DiagonalTuple,
@@ -51,6 +48,24 @@ def random_independent(rng, m, a):
             return ops
 
 
+def assert_diagonal(diag):
+    """The pattern the staging builds and does not re-check: r_i(b_j) = c_i * delta_ij.
+
+    The points are pairwise distinct, the values nonzero, and the members
+    share one base point.  Returns ``diag``.
+    """
+    m = len(diag.ops)
+    assert len(diag.base_points) == len(diag.values) == m
+    assert len(set(diag.base_points)) == m, "base points must be pairwise distinct"
+    assert all(diag.values), "diagonal values must be nonzero"
+    assert len({op.a for op in diag.ops}) == 1, "members must share one base point"
+    for i, op in enumerate(diag.ops):
+        for j, b in enumerate(diag.base_points):
+            e = diag.values[i] if i == j else 0
+            assert op.r(b) == e, f"member {i} evaluates to {op.r(b)} at point {j}, expected {e}"
+    return diag
+
+
 small_polys = st.lists(
     st.fractions(min_value=-3, max_value=3, max_denominator=2), max_size=5
 ).map(lambda cs: Poly(tuple(cs)))
@@ -70,18 +85,6 @@ class TestFiberMove:
         gen = _fiber_move(op, op, 0)
         assert gen.s == Poly.zero()
         assert gen.apply(op) == op
-
-    def test_value_mismatch(self):
-        with pytest.raises(FiberMismatch):
-            _fiber_move(AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.constant(2)), 0)
-
-    def test_zero_fiber(self):
-        with pytest.raises(ZeroFiberValue):
-            _fiber_move(AnalyticOp(0, Poly.x()), AnalyticOp(0, Poly.x()), 0)
-
-    def test_base_point_guard(self):
-        with pytest.raises(BasePointMismatch):
-            _fiber_move(AnalyticOp(0, Poly.one()), AnalyticOp(1, Poly.one()), 0)
 
 
 class TestSolveSingle:
@@ -214,7 +217,7 @@ def scan_order(b):
 def picked_points(rs, avoid=()):
     """The points ``_diagonalize_tuple`` diagonalises at, in scan order."""
     _, diag = _diagonalize_tuple([AnalyticOp(0, r) for r in rs], avoid)
-    return sorted(diag.base_points, key=scan_order)
+    return sorted(assert_diagonal(diag).base_points, key=scan_order)
 
 
 class TestSelectBasepoints:
@@ -283,6 +286,7 @@ class TestDiagonalize:
         ops = [AnalyticOp(0, Poly((2, 1))), AnalyticOp(0, Poly((0, 1)))]
         # evaluation matrix at (0,1) is [[2,3],[0,1]]: one column op clears it
         word, diag = _diagonalize_tuple(ops)
+        assert_diagonal(diag)
         assert len(word) == 1
         assert apply_word_tuple(word, ops) == list(diag.ops)
 
@@ -290,12 +294,14 @@ class TestDiagonalize:
         ops = [AnalyticOp(0, Poly((1, -1))), AnalyticOp(0, Poly((0, 1)))]
         # values at (0,1): r1 -> (1, 0), r2 -> (0, 1)
         word, diag = _diagonalize_tuple(ops)
+        assert_diagonal(diag)
         assert word == ()
         assert diag.base_points == (0, 1)
 
     def test_unit_and_x_multipliers(self):
         ops = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.x())]
         word, diag = _diagonalize_tuple(ops)
+        assert_diagonal(diag)
         moved = apply_word_tuple(word, ops)
         assert list(diag.ops) == moved
         for i, op in enumerate(moved):
@@ -307,6 +313,7 @@ class TestDiagonalize:
         for m in (2, 3):
             ops = random_independent(rng, m, Fraction(1, 2))
             word, diag = _diagonalize_tuple(ops)
+            assert_diagonal(diag)
             assert all(op.a == Fraction(1, 2) for op in diag.ops)
 
     def test_random_instances(self):
@@ -314,6 +321,7 @@ class TestDiagonalize:
         for _ in range(5):
             ops = random_independent(rng, 3, random_rat(rng))
             word, diag = _diagonalize_tuple(ops)
+            assert_diagonal(diag)
             assert apply_word_tuple(word, ops) == list(diag.ops)
 
 
@@ -328,12 +336,14 @@ class TestNodeSetPerDiagonalisation:
         return count
 
     def test_one_member_builds_none(self, builds):
-        word, _ = _diagonalize_tuple([AnalyticOp(0, Poly((1, 2, 3)))])
+        word, diag = _diagonalize_tuple([AnalyticOp(0, Poly((1, 2, 3)))])
+        assert_diagonal(diag)
         assert word == () and builds == []
 
     def test_shears_share_one(self, builds):
         ops = [AnalyticOp(0, Poly(cs)) for cs in ((-2, -1), (-1, -3), (-1, 0, -1))]
-        word, _ = _diagonalize_tuple(ops, (-1,))  # at 0, 1 and 2
+        word, diag = _diagonalize_tuple(ops, (-1,))  # at 0, 1 and 2
+        assert_diagonal(diag)
         assert len(word) == 3 and len(builds) == 1
 
 
@@ -365,6 +375,7 @@ class TestSingularPattern:
                 _diagonalize_tuple(ops, avoid)
         else:
             word, diag = _diagonalize_tuple(ops, avoid)
+            assert_diagonal(diag)
             assert apply_word_tuple(word, ops) == list(diag.ops)
             assert not set(diag.base_points) & set(avoid)
 
@@ -424,6 +435,7 @@ class TestDiagonalizeMatchesReference:
     @staticmethod
     def check(ops, avoid):
         word, diag = _diagonalize_tuple(ops, avoid)
+        assert_diagonal(diag)
         points = ref_select_basepoints([op.r for op in ops], avoid)
         assert (word, diag.base_points, diag.values) == ref_diagonalize(ops, points)
         return word, diag
@@ -433,7 +445,7 @@ half, two_thirds = Fraction(1, 2), Fraction(2, 3)
 
 
 class TestDiagonalPatternCheck:
-    """``_DiagonalTuple`` refuses every tuple off its pattern r_i(b_j) = c_i * delta_ij."""
+    """``assert_diagonal`` refuses every tuple off its pattern r_i(b_j) = c_i * delta_ij."""
 
     # (points, multipliers, values): diagonal at integer and at non-integer points
     INTEGER = ((0, 1), (Poly((1, -1)), Poly((0, 2))), (1, 2))
@@ -446,7 +458,9 @@ class TestDiagonalPatternCheck:
     @staticmethod
     def build(points, rs, values):
         ops = tuple(AnalyticOp(0, r) for r in rs)
-        return _DiagonalTuple(tuple(map(Fraction, points)), tuple(map(Fraction, values)), ops)
+        return assert_diagonal(
+            _DiagonalTuple(tuple(map(Fraction, points)), tuple(map(Fraction, values)), ops)
+        )
 
     @pytest.mark.parametrize("case", [INTEGER, FRACTIONAL], ids=["integer", "fractional"])
     def test_accepts_the_pattern(self, case):
@@ -457,7 +471,7 @@ class TestDiagonalPatternCheck:
     def test_rejects_a_diagonal_value_off_by_one(self, case, member):
         points, rs, values = case
         values = tuple(Fraction(c) + (i == member) for i, c in enumerate(values))
-        with pytest.raises(ValueError, match="evaluates to"):
+        with pytest.raises(AssertionError, match="evaluates to"):
             self.build(points, rs, values)
 
     @pytest.mark.parametrize("case", [INTEGER, FRACTIONAL], ids=["integer", "fractional"])
@@ -467,7 +481,7 @@ class TestDiagonalPatternCheck:
         # and no longer vanishes at points[0]
         bumped = r1 + Poly.constant(Fraction(1, 5))
         values = (values[0], Fraction(values[1]) + Fraction(1, 5))
-        with pytest.raises(ValueError, match="member 1 evaluates to 1/5 at point 0"):
+        with pytest.raises(AssertionError, match="member 1 evaluates to 1/5 at point 0"):
             self.build(points, (r0, bumped), values)
 
 
@@ -475,31 +489,27 @@ class TestBridge:
     def test_single_member(self):
         src = _DiagonalTuple((0,), (Fraction(1),), (AnalyticOp(2, Poly.one()),))
         word, out = _bridge_tuple(src, [1], [Fraction(1)])
+        assert_diagonal(out)
         assert out.ops[0].r == Poly.one()  # interpolation through (0,1),(1,1)
         assert apply_word_tuple(word, list(src.ops)) == list(out.ops)
 
-    def test_collision_rejected(self):
-        src = _DiagonalTuple((0,), (Fraction(1),), (AnalyticOp(2, Poly.one()),))
-        with pytest.raises(BasePointCollision):
-            _bridge_tuple(src, [0], [Fraction(1)])
-
     def test_destination_pattern_checked_on_the_result(self):
-        # repeated destination points and zero destination values are refused
-        # by the node set and by the closing diagonal tuple
+        # repeated destination points are refused by the node set, which
+        # interpolates at them; the solvers never pass any
         ops = (AnalyticOp(0, Poly((1, -1))), AnalyticOp(0, Poly((0, 2))))
-        src = _DiagonalTuple((0, 1), (Fraction(1), Fraction(2)), ops)
+        src = assert_diagonal(_DiagonalTuple((0, 1), (Fraction(1), Fraction(2)), ops))
         with pytest.raises(DuplicateAbscissa):
             _bridge_tuple(src, [2, 2], [Fraction(1), Fraction(1)])
-        with pytest.raises(ZeroFiberValue):
-            _bridge_tuple(src, [2, 3], [Fraction(1), Fraction(0)])
 
     def test_two_members(self):
         rng = random.Random(79)
         for _ in range(5):
             ops = random_independent(rng, 2, Fraction(0))
             _, diag = _diagonalize_tuple(ops)
+            assert_diagonal(diag)
             fresh = [b for b in (5, 6, 7) if b not in diag.base_points][:2]
             word, out = _bridge_tuple(diag, fresh, [Fraction(2), Fraction(3)])
+            assert_diagonal(out)
             assert apply_word_tuple(word, list(diag.ops)) == list(out.ops)
             assert out.base_points == tuple(fresh)
             assert out.values == (2, 3)
@@ -517,12 +527,14 @@ class TestBridgeCorrection:
         a = data.draw(st.integers(-2, 2))
         ops = [AnalyticOp(a, r) for r in rs]
         _, src = _diagonalize_tuple(ops)
+        assert_diagonal(src)
         free = [b for b in SCAN[:12] if b not in src.base_points]
         dst_points = data.draw(st.lists(st.sampled_from(free), min_size=m, max_size=m, unique=True))
         dst_values = data.draw(
             st.lists(st.fractions(-5, 5, max_denominator=4).filter(bool), min_size=m, max_size=m)
         )
         word, out = _bridge_tuple(src, dst_points, dst_values)
+        assert_diagonal(out)
         for k, target in enumerate(out.ops):
             assert [target.r(p) for p in src.base_points] == [
                 src.values[k] if j == k else 0 for j in range(m)
@@ -745,6 +757,76 @@ class TestSolveDistinct:
             assert apply_word_tuple(word, src) == dst
 
 
+TUPLE_SOLVERS = pytest.mark.parametrize(
+    "solver", [solve_tuple_independent, solve_distinct_tuple], ids=["independent", "distinct"]
+)
+
+
+class TestBasePointCheckedOncePerCall:
+    """Each tuple solver checks the one shared base point of its input once, before any staging."""
+
+    @TUPLE_SOLVERS
+    @pytest.mark.parametrize(
+        "src_a,dst_a",
+        [((0, 1), (0, 0)), ((0, 0), (0, 1)), ((1, 1), (0, 0))],
+        ids=["within-source", "within-destination", "between"],
+    )
+    def test_mixed_base_points_raise(self, solver, src_a, dst_a):
+        src = [AnalyticOp(a, r) for a, r in zip(src_a, (Poly.one(), Poly.x()))]
+        dst = [AnalyticOp(a, r) for a, r in zip(dst_a, (Poly((1, 1)), Poly((-1, 1))))]
+        with pytest.raises(BasePointMismatch, match="^operators must share one integration base point$"):
+            solver(src, dst)
+
+    @TUPLE_SOLVERS
+    def test_lengths_checked_first(self, solver):
+        with pytest.raises(ValueError, match="^tuples must have equal length$"):
+            solver([AnalyticOp(0, Poly.one())], [AnalyticOp(1, Poly.one()), AnalyticOp(1, Poly.x())])
+
+    def test_once_per_public_call(self, monkeypatch):
+        calls = []
+        check = transitivity._shared_base
+        monkeypatch.setattr(transitivity, "_shared_base", lambda ops: calls.append(ops) or check(ops))
+        src = [AnalyticOp(0, Poly.one()), AnalyticOp(0, Poly.constant(2))]
+        dst = [AnalyticOp(0, Poly.x()), AnalyticOp(0, Poly.monomial(2))]
+        counts = []
+        for solve in (
+            lambda: solve_tuple_independent(dst, dst[::-1]),
+            lambda: solve_distinct_tuple(src, dst),
+            # the translation lines the base points up: there is nothing to check
+            lambda: solve_single(AnalyticOp(1, Poly.x()), dst[0]),
+        ):
+            calls.clear()
+            solve()
+            counts.append(len(calls))
+        assert counts == [1, 1, 0]
+
+
+def test_solvers_stage_diagonal_tuples(monkeypatch):
+    # the staging checks nothing itself: every diagonal tuple that the three
+    # solvers build must keep its pattern all the same
+    staged = []
+    for name in ("_diagonalize_tuple", "_bridge_tuple"):
+        def checking(*args, _build=getattr(transitivity, name)):
+            word, diag = _build(*args)
+            staged.append(assert_diagonal(diag))
+            return word, diag
+
+        monkeypatch.setattr(transitivity, name, checking)
+    rng = random.Random(131)
+    degenerate = [AnalyticOp(0, r) for r in DEGENERATE]
+    solve_distinct_tuple(degenerate, degenerate[::-1])
+    for m in (1, 2, 3, 4):
+        a = random_rat(rng)
+        solve_single(AnalyticOp(random_rat(rng), random_poly(rng, 4)), AnalyticOp(a, random_poly(rng, 4)))
+        solve_tuple_independent(random_independent(rng, m, a), random_independent(rng, m, a))
+        dependent = _random_distinct(rng, m, a)
+        if m > 1:
+            dependent[-1] = AnalyticOp(a, dependent[0].r * 3)
+        solve_distinct_tuple(dependent, _random_distinct(rng, m, a))
+    # two diagonalisations and one bridge per word
+    assert len(staged) == 3 * (1 + 3 * 4)
+
+
 class TestWordLength:
     """Words are short by construction: one shear per pivot row, no no-op moves."""
 
@@ -754,6 +836,7 @@ class TestWordLength:
             for _ in range(4):
                 ops = random_independent(rng, m, random_rat(rng))
                 word, diag = _diagonalize_tuple(ops)
+                assert_diagonal(diag)
                 assert apply_word_tuple(word, ops) == list(diag.ops)
                 points = [gen.b for gen in word]
                 assert len(points) == len(set(points)) <= m

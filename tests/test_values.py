@@ -145,5 +145,3 @@ def test_invalid_input_raises():
         FunctionalCoords(Poly.zero(), (1,))
     with pytest.raises(ValueError, match="at least one coordinate"):
         FunctionalCoords(X2_1, ())
-    with pytest.raises(ValueError, match="expected 1"):
-        _DiagonalTuple((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)), DIAG_OPS[::-1])
